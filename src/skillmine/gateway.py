@@ -438,12 +438,22 @@ class LiveProvider:
                 with self._budget:
                     raw = self._transport(self.url, payload, headers, self.timeout)
             except Exception as exc:  # transport-level failures only
+                if not _is_transient(exc):
+                    raise TransportError(f"provider transport failed: {exc}", attempt) from exc
                 last_error = exc
                 if attempt < RETRY_ATTEMPTS:
                     self._sleep(RETRY_BACKOFFS[attempt - 1])
                 continue
             return _extract_text(raw)
         raise TransportError(f"provider transport failed: {last_error}", RETRY_ATTEMPTS)
+
+
+def _is_transient(exc: Exception) -> bool:
+    """Timeouts, connection failures, 5xx and 429 may pass on a retry; a
+    4xx such as a bad key or a bad request will not."""
+    if isinstance(exc, urllib.error.HTTPError):
+        return exc.code == 429 or exc.code >= 500
+    return isinstance(exc, (TimeoutError, ConnectionError, urllib.error.URLError))
 
 
 def _extract_text(raw: str) -> str:

@@ -252,11 +252,15 @@ class ValidationHarness:
         reports_root: str | Path,
         deterministic: bool = True,
         keep_sandboxes: bool = False,
+        timeout: float = DEFAULT_TIMEOUT,
     ):
         self.sandbox_root = Path(sandbox_root)
         self.reports_root = Path(reports_root)
         self.deterministic = deterministic
         self.keep_sandboxes = keep_sandboxes
+        # Bounds every sandboxed run, except an execution or repair run given
+        # its own SandboxConfig.
+        self.timeout = timeout
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -332,7 +336,7 @@ class ValidationHarness:
         attempt: int = 1,
     ) -> TestReport:
         """Run the smoke target in isolation; error is reserved for harness faults."""
-        config = config or SandboxConfig(base_dir=self.sandbox_root)
+        config = config or SandboxConfig(base_dir=self.sandbox_root, timeout=self.timeout)
         smoke = resolve_smoke_target(package, timeout=config.timeout)
         if smoke is None:
             report = TestReport(
@@ -404,7 +408,7 @@ class ValidationHarness:
             raise HarnessError("repair_loop requires a failing or errored report")
         if budget < 1:
             raise HarnessError("repair budget must be >= 1")
-        config = config or SandboxConfig(base_dir=self.sandbox_root)
+        config = config or SandboxConfig(base_dir=self.sandbox_root, timeout=self.timeout)
 
         workdir = self.sandbox_root / skill_id / "repair" / "work"
         if workdir.exists():
@@ -537,9 +541,22 @@ class ValidationHarness:
             elif item.required:
                 raise MissingFixtureError(f"no fixture value for required input {item.name}")
 
+        input_coverage: dict[str, str] = {}
         try:
-            baseline_a = self._synthetic_run(package, skill_id, command, values, fixtures, "run-1")
-            baseline_b = self._synthetic_run(package, skill_id, command, values, fixtures, "run-2")
+            digest_a, observed = self._synthetic_run(
+                package, skill_id, command, values, fixtures, "run-1"
+            )
+            digest_b, _ = self._synthetic_run(package, skill_id, command, values, fixtures, "run-2")
+            for item in contract.inputs:
+                if not item.required:
+                    input_coverage[item.name] = "exercised"
+                    continue
+                perturbed = dict(values)
+                perturbed[item.name] = self._perturb(values[item.name])
+                digest_p, _ = self._synthetic_run(
+                    package, skill_id, command, perturbed, fixtures, f"ablate-{item.name}"
+                )
+                input_coverage[item.name] = "ignored" if digest_p == digest_a else "exercised"
         except HarnessError as exc:
             report = SyntheticReport(
                 skill_id=skill_id,
@@ -551,22 +568,7 @@ class ValidationHarness:
             self._persist_synthetic(report, attempt)
             return report
 
-        digest_a, observed = baseline_a
-        digest_b, _ = baseline_b
         stability = "stable" if digest_a == digest_b else "unstable"
-
-        input_coverage: dict[str, str] = {}
-        for item in contract.inputs:
-            if not item.required:
-                input_coverage[item.name] = "exercised"
-                continue
-            perturbed = dict(values)
-            perturbed[item.name] = self._perturb(values[item.name])
-            digest_p, _ = self._synthetic_run(
-                package, skill_id, command, perturbed, fixtures, f"ablate-{item.name}"
-            )
-            input_coverage[item.name] = "ignored" if digest_p == digest_a else "exercised"
-
         coverage = {
             "inputs": input_coverage,
             "outputs": {
@@ -639,7 +641,7 @@ class ValidationHarness:
         argv = tokenize_command(rendered)
 
         before = _manifest(sandbox)
-        exit_status, log, _duration = self._run(argv, sandbox, DEFAULT_TIMEOUT)
+        exit_status, log, _duration = self._run(argv, sandbox, self.timeout)
         if exit_status is None:
             raise HarnessError(f"synthetic invocation timed out: {rendered}")
 
@@ -684,7 +686,7 @@ class ValidationHarness:
             raise NotApplicableError(
                 f"package for {skill_id} declares no scheduler-dependent assumption"
             )
-        smoke = resolve_smoke_target(package)
+        smoke = resolve_smoke_target(package, timeout=self.timeout)
         if smoke is None:
             raise NotApplicableError(f"package for {skill_id} has no test command to submit")
 
@@ -774,13 +776,13 @@ class ValidationHarness:
                 raise PathEscapeError(rel)
             atomic_write_text(sandbox / rel, content)
 
-        exit_status, _log, _d = self._run(tokenize_command(command), sandbox, DEFAULT_TIMEOUT)
+        exit_status, _log, _d = self._run(tokenize_command(command), sandbox, self.timeout)
         if exit_status != 0:
             # A crashed arm scores zero for that arm; this is data, not an error.
             return 0.0
 
         score_exit, score_log, _d = self._run(
-            tokenize_command(case.score_command), sandbox, DEFAULT_TIMEOUT
+            tokenize_command(case.score_command), sandbox, self.timeout
         )
         text = score_log.decode("utf-8", errors="replace").strip().split()
         if score_exit != 0 or not text:

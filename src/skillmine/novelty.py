@@ -8,6 +8,7 @@ review or deprioritize, never upgrade toward novel.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import tree as treemod
-from .contracts import SkillContract
+from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
 from .registry import Registry
 
@@ -83,8 +84,13 @@ def derive_keywords(contract: SkillContract) -> KeywordSet:
     return keywords_from_text(contract.task_scope)
 
 
+def _content_tokens(text: str) -> list[str]:
+    """Lowercased tokens with stop words removed, in text order."""
+    return [t for t in _TOKEN.findall(text.lower()) if t not in STOP_WORDS]
+
+
 def keywords_from_text(text: str) -> KeywordSet:
-    tokens = [t for t in _TOKEN.findall(text.lower()) if t not in STOP_WORDS]
+    tokens = _content_tokens(text)
     if not tokens:
         raise EmptyKeywordsError(f"no keywords survive stop-word filtering: {text!r}")
     unigrams: list[str] = []
@@ -144,18 +150,63 @@ def classify_entry(
     return ("same_task_same_scope" if same_scope else "same_task_diff_scope", score)
 
 
+class CatalogIndex:
+    """One catalog's entries with a unigram -> positions map over their task texts.
+
+    Only unigrams are indexed: a map over every term, or a cached keyword set
+    per entry, costs about ten times the memory on a 20,000-entry catalog.
+    Positions keep the catalog's order, so a search visits entries in the
+    order a scan would. ``unindexed`` lists the entries whose task text has
+    no unigram at all.
+    """
+
+    def __init__(self, entries: Sequence[CatalogEntry]):
+        self.entries = tuple(entries)
+        self.postings: dict[str, list[int]] = {}
+        self.unindexed: list[int] = []
+        for position, entry in enumerate(self.entries):
+            unigrams = set(_content_tokens(entry.task_description))
+            if not unigrams:
+                self.unindexed.append(position)
+            for term in unigrams:
+                self.postings.setdefault(term, []).append(position)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def sharing(self, unigrams: set[str]) -> list[CatalogEntry]:
+        """Entries, in catalog order, that share one of ``unigrams`` or have none."""
+        positions = set(self.unindexed)
+        for term in unigrams:
+            positions.update(self.postings.get(term, ()))
+        return [self.entries[p] for p in sorted(positions)]
+
+
 def search_catalogs(
-    catalogs: Mapping[str, Sequence[CatalogEntry]],
+    catalogs: Mapping[str, Sequence[CatalogEntry] | CatalogIndex],
     keywords: KeywordSet,
     limit: int,
     candidate_task_text: str = "",
     scope_keywords: KeywordSet | None = None,
     candidate_scope_text: str = "",
 ) -> list[CatalogMatch]:
-    """Score every entry by keyword overlap and return the classified top matches."""
+    """Classify the entries that can overlap the candidate; return the top matches.
+
+    A catalog given as a ``CatalogIndex`` is reused; a plain sequence is
+    indexed here. Only the entries that share a unigram with the keywords or
+    with ``candidate_task_text``, plus those with no unigram, are classified,
+    and the result equals classifying every entry. A Jaccard score above zero
+    needs a shared term, and every term of an entry, unigram or bigram, is
+    made of the entry's own unigrams. Equal normalized task texts have equal
+    unigram sets; when those are empty the entry is one with no unigram.
+    """
+    query = {part for term in keywords.terms for part in term.split()}
+    query.update(_content_tokens(candidate_task_text))
     matches: list[CatalogMatch] = []
     for catalog_id in sorted(catalogs):
-        for entry in catalogs[catalog_id]:
+        catalog = catalogs[catalog_id]
+        index = catalog if isinstance(catalog, CatalogIndex) else CatalogIndex(catalog)
+        for entry in index.sharing(query):
             overlap, score = classify_entry(
                 entry, keywords, candidate_task_text, scope_keywords, candidate_scope_text
             )
@@ -353,25 +404,48 @@ def load_catalog_snapshot(path: str | Path, catalog_id: str | None = None) -> li
     return entries
 
 
-def local_catalog_entries(registry: Registry, packages_root: Path) -> list[CatalogEntry]:
-    """Expose the local library through the catalog view."""
-    from .contracts import load_contract
+def _contract_texts(data: bytes) -> tuple[str, str] | None:
+    """(task text, scope text) of a skill.json document; None when it is invalid."""
+    try:
+        contract = parse_contract(json.loads(data.decode("utf-8")))
+    except Exception:  # any unreadable or invalid contract: the caller falls back
+        return None
+    return contract.task_scope, candidate_scope_text(contract)
 
+
+def local_catalog_entries(
+    registry: Registry,
+    packages_root: Path,
+    texts: dict[str, tuple[bytes, tuple[str, str] | None]] | None = None,
+) -> list[CatalogEntry]:
+    """Expose the local library through the catalog view.
+
+    ``texts`` caches, per skill id, the digest of its ``skill.json`` bytes
+    with the texts derived from them; a caller that keeps it across calls
+    re-parses only files whose bytes changed. The file is read and hashed on
+    every call, because repair edits rewrite it in place, and an edit can
+    keep its size and its timestamp. Entries of skills no longer in the
+    catalog are dropped.
+    """
+    if texts is None:
+        texts = {}
     entries: list[CatalogEntry] = []
     for skill in registry.skills():
         if skill.status in ("removed",):
             continue
         task_text = skill.name
         scope_text = ""
-        metadata = packages_root / skill.package_path / "skill.json"
-        if metadata.is_file():
-            try:
-                contract = load_contract(metadata)
-            except Exception:
-                contract = None
-            if contract is not None:
-                task_text = contract.task_scope
-                scope_text = " ".join(contract.execution_steps) or contract.task_scope
+        try:
+            data = (packages_root / skill.package_path / "skill.json").read_bytes()
+        except OSError:
+            data = None
+        if data is not None:
+            digest = hashlib.sha256(data).digest()
+            cached = texts.get(skill.id)
+            if cached is None or cached[0] != digest:
+                cached = texts[skill.id] = (digest, _contract_texts(data))
+            if cached[1] is not None:
+                task_text, scope_text = cached[1]
         entries.append(
             CatalogEntry(
                 catalog_id="local",
@@ -382,6 +456,8 @@ def local_catalog_entries(registry: Registry, packages_root: Path) -> list[Catal
                 provenance=tuple(skill.provenance),
             )
         )
+    for gone in texts.keys() - {entry.entry_ref for entry in entries}:
+        del texts[gone]
     return entries
 
 

@@ -187,6 +187,7 @@ class Pipeline:
             reports_root=self.root / REPORTS_DIR,
             deterministic=config.deterministic_clock,
             keep_sandboxes=config.keep_sandboxes,
+            timeout=config.smoke_timeout,
         )
         self.state = PipelineState(
             budgets={
@@ -197,6 +198,11 @@ class Pipeline:
         )
         self._scratch = _CycleScratch()
         self._external_catalogs: dict[str, list[noveltymod.CatalogEntry]] | None = None
+        # Novelty inputs kept for the life of the pipeline: the external
+        # catalogs' index, built at the first review, and the local skills'
+        # texts keyed on their skill.json bytes.
+        self._external_index: dict[str, noveltymod.CatalogIndex] | None = None
+        self._local_texts: dict[str, tuple[bytes, tuple[str, str] | None]] = {}
         self._last_verdicts: dict[str, str] = {}
         self._last_tree_edits: list[str] = []
 
@@ -668,15 +674,18 @@ class Pipeline:
         except noveltymod.EmptyKeywordsError:
             scope_keywords = None
 
+        if self._external_index is None:
+            self._external_index = {
+                catalog_id: noveltymod.CatalogIndex(entries)
+                for catalog_id, entries in self.external_catalogs().items()
+            }
         local_entries = [
             e
-            for e in noveltymod.local_catalog_entries(self.registry, self.root)
+            for e in noveltymod.local_catalog_entries(self.registry, self.root, self._local_texts)
             if e.entry_ref != skill_id
         ]
-        catalogs: dict[str, list[noveltymod.CatalogEntry]] = {"local": local_entries}
-        catalogs.update(self.external_catalogs())
         matches = noveltymod.search_catalogs(
-            catalogs,
+            {"local": local_entries, **self._external_index},
             keywords,
             limit=self.config.novelty_match_limit,
             candidate_task_text=contract.task_scope,

@@ -679,7 +679,8 @@ class Registry:
         return treemod.tree_from_document(json.loads(path.read_text("utf-8")))
 
     def compact_index(self, tree: treemod.DomainTree | None = None) -> None:
-        """Rewrite the compacted views. Only the refresh stage calls this."""
+        """Rewrite the compacted views: at initialization, when refresh or a
+        design commits, and after an evaluation phase changed a skill's status."""
         with self.lock:
             index = self.root / INDEX_DIR
             atomic_write_text(

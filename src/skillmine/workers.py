@@ -471,6 +471,7 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
         return {"kind": "evaluation", "evaluated": [], "outcomes": {}, "note": "no pending skills"}
 
     threshold = pipeline.config.advantage_threshold or DEFAULT_ADVANTAGE_THRESHOLD
+    statuses = {skill_id: pipeline.registry.skill(skill_id).status for skill_id in batch}
     for skill_id in batch:
         entry = pipeline.registry.skill(skill_id)
         if entry.status != "verified":
@@ -512,6 +513,9 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
         else:
             outcomes[skill_id] = f"advantage margin={report.margin:.4f}"
 
+    # optimize_loop can move a skill from verified to review outside refresh.
+    if any(pipeline.registry.skill(s).status != status for s, status in statuses.items()):
+        pipeline.registry.compact_index(pipeline.tree)
     remaining = [s for s in pipeline.state.pending_skills if s not in batch]
     pipeline.state.pending_skills = tuple(remaining)
     return {"kind": "evaluation", "evaluated": batch, "outcomes": outcomes}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import urllib.error
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,47 @@ def test_live_transport_retries_then_surfaces_attempt_count():
     assert excinfo.value.attempts == 3
     assert len(calls) == 3
     assert naps == [1.0, 2.0]
+
+
+def http_error(code):
+    return urllib.error.HTTPError("https://provider.example/api", code, "status", {}, None)
+
+
+@pytest.mark.parametrize("code", [500, 503, 429])
+def test_live_transport_retries_server_errors_and_throttling(code):
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(url)
+        if len(calls) < 3:
+            raise http_error(code)
+        return "recovered"
+
+    naps = []
+    provider = LiveProvider(url="https://provider.example/api", transport=transport, sleep=naps.append)
+    bundle = render_prompt("tree_check", {"repository_summary": "s"})
+    assert invoke(provider, bundle, ("model", "medium")) == "recovered"
+    assert len(calls) == 3
+    assert naps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("error", [http_error(400), http_error(401), ValueError("bad body")])
+def test_live_transport_raises_non_transient_errors_at_once(error):
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(url)
+        raise error
+
+    naps = []
+    provider = LiveProvider(url="https://provider.example/api", transport=transport, sleep=naps.append)
+    bundle = render_prompt("tree_check", {"repository_summary": "s"})
+    with pytest.raises(TransportError) as excinfo:
+        invoke(provider, bundle, ("model", "medium"))
+    assert excinfo.value.attempts == 1
+    assert excinfo.value.__cause__ is error
+    assert len(calls) == 1
+    assert naps == []
 
 
 def test_live_transport_success_extracts_chat_content():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skillmine.contracts import compile_package
+from skillmine.contracts import ContractInput, compile_package
 from skillmine.errors import (
     HarnessError,
     MissingFixtureError,
@@ -20,6 +20,7 @@ from skillmine.harness import (
     SandboxConfig,
     SchedulerAdapter,
     SyntheticFixtures,
+    ValidationHarness,
     load_benchmark_cases,
 )
 from skillmine.registry import SkillEntry, VerificationRecord, open_registry
@@ -266,6 +267,39 @@ def test_synthetic_missing_fixture_when_defaults_disabled(tmp_path, harness):
             "fixture-ignored-input",
             SyntheticFixtures(values={}, use_defaults=False),
         )
+
+
+HANG_WHEN_PERTURBED = """\
+import sys
+import time
+
+if sys.argv[1] != "synthetic":
+    time.sleep(3)
+print(sys.argv[1])
+"""
+
+
+def test_synthetic_ablation_timeout_is_an_error_report(tmp_path):
+    harness = ValidationHarness(
+        sandbox_root=tmp_path / "sandbox", reports_root=tmp_path / "reports", timeout=0.5
+    )
+    contract = passing_contract(
+        task_scope="Echo a label back to the caller",
+        inputs=(ContractInput(name="label", description="a label", required=True, kind="argument"),),
+        outputs=(),
+        execution_steps=("Run scripts/echo.py with {label}",),
+        example_invocations=("python3 scripts/echo.py {label}",),
+    )
+    package = compile_package(
+        contract, {"scripts/echo.py": HANG_WHEN_PERTURBED}, tmp_path / "pkgs" / "echo", name="echo"
+    )
+    report = harness.synthetic_test(package, "echo")
+    assert report.error == "synthetic invocation timed out: python3 scripts/echo.py synthetic-alt"
+    assert not report.clean
+    persisted = json.loads(
+        (harness.reports_root / "verifications" / "echo" / "synthetic" / "attempt-1.json").read_text()
+    )
+    assert persisted["error"] == report.error
 
 
 # -- system -------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillmine import novelty
@@ -139,6 +141,126 @@ def test_catalog_snapshot_round_trip(fixtures_dir):
     assert len(entries) == 20
     assert all(e.catalog_id == "catalog_hub" for e in entries)
     assert entries[0].entry_ref.startswith("hub/")
+
+
+# -- indexed search against the full scan ----------------------------------------------
+
+
+def scan_search(catalogs, keywords, limit, task_text="", scope_keywords=None, scope_text=""):
+    """Reference: classify every entry of every catalog, as the search did before indexing."""
+    matches = []
+    for catalog_id in sorted(catalogs):
+        for item in catalogs[catalog_id]:
+            overlap, score = novelty.classify_entry(
+                item, keywords, task_text, scope_keywords, scope_text
+            )
+            if overlap == "none":
+                continue
+            matches.append(
+                novelty.CatalogMatch(
+                    catalog_id=item.catalog_id or catalog_id,
+                    entry_ref=item.entry_ref,
+                    entry_task_description=item.task_description,
+                    entry_scope_summary=item.scope_summary,
+                    overlap=overlap,
+                    score=score,
+                )
+            )
+    matches.sort(key=lambda m: (-m.score, m.catalog_id, m.entry_ref))
+    return matches[:limit]
+
+
+def keywords_or(text, default):
+    try:
+        return novelty.keywords_from_text(text)
+    except EmptyKeywordsError:
+        return default
+
+
+WORDS = ["align", "reads", "cells", "label", "graph", "spatial", "Dock", "x1", "the", "of", "and"]
+texts = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+catalog_entries = st.lists(
+    st.builds(
+        entry,
+        st.sampled_from(["", "aaa", "local", "zzz"]),
+        st.sampled_from(["r1", "r2", "r3"]),
+        texts,
+        texts,
+    ),
+    max_size=12,
+)
+CANDIDATE = "Align the READS, of spatial cells!"
+# The catalog ids around "local" and the duplicate refs exercise the sort and the
+# ties at the limit cut; "the of" is stop words only; the first entry equals the
+# candidate after normalization, with empty scopes on both sides.
+EDGES = {
+    "aaa": [
+        entry("aaa", "r1", "align reads of spatial cells"),
+        entry("aaa", "r1", "the of"),
+        entry("", "r2", "ALIGN reads spatial cells", "dock"),
+    ],
+    "local": [entry("local", "r1", "align reads spatial cells"), entry("local", "r3", "")],
+    "zzz": [entry("zzz", "r1", "align reads spatial cells"), entry("aaa", "r2", "graph")],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    catalogs=st.dictionaries(st.sampled_from(["aaa", "hub", "local", "zzz"]), catalog_entries),
+    task_text=texts,
+    scope_text=texts,
+    limit=st.integers(min_value=0, max_value=6),
+    keyword_text=st.none() | texts,
+    bigrams_only=st.booleans(),
+)
+@example(EDGES, CANDIDATE, "", 2, None, False)
+@example(EDGES, "the of and", "", 5, None, False)
+@example(EDGES, "graph", "dock", 4, "cells graph", True)
+def test_indexed_search_equals_the_full_scan(
+    catalogs, task_text, scope_text, limit, keyword_text, bigrams_only
+):
+    # A caller's keywords need not come from the task text, nor hold unigrams.
+    keyword_source = task_text if keyword_text is None else keyword_text
+    keywords = keywords_or(keyword_source, novelty.KeywordSet(terms=()))
+    if bigrams_only:
+        keywords = novelty.KeywordSet(terms=tuple(t for t in keywords.terms if " " in t))
+    scope_keywords = keywords_or(scope_text, None)
+    expected = scan_search(catalogs, keywords, limit, task_text, scope_keywords, scope_text)
+    indexed = {k: novelty.CatalogIndex(v) for k, v in catalogs.items()}
+    for given_catalogs in (catalogs, indexed):
+        matches = novelty.search_catalogs(
+            given_catalogs, keywords, limit, task_text, scope_keywords, scope_text
+        )
+        assert matches == expected
+
+
+def test_indexed_search_classifies_only_entries_sharing_a_unigram(monkeypatch):
+    rng = random.Random(20)
+    vocabulary = [f"term{i}" for i in range(3000)]
+    catalog = [
+        entry("hub", f"hub/{i}", " ".join(rng.sample(vocabulary, 9)), "scope words")
+        for i in range(20_000)
+    ]
+    index = novelty.CatalogIndex(catalog)
+    task_text = "the term7 of term42 and term2999"
+    keywords = novelty.keywords_from_text(task_text)
+    sharing = [
+        e for e in catalog if {"term7", "term42", "term2999"} & set(e.task_description.split())
+    ]
+
+    classified = []
+    original = novelty.classify_entry
+
+    def counting(item, *args):
+        classified.append(item)
+        return original(item, *args)
+
+    monkeypatch.setattr(novelty, "classify_entry", counting)
+    matches = novelty.search_catalogs({"hub": index}, keywords, 5, task_text)
+    assert classified == sharing
+    assert 0 < len(sharing) < 200
+    monkeypatch.undo()
+    assert matches == scan_search({"hub": catalog}, keywords, 5, task_text)
 
 
 # -- ladder -------------------------------------------------------------------------

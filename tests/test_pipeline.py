@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from skillmine import tree as treemod
+from skillmine.contracts import SkillContract, compile_package
 from skillmine.errors import OutOfOrderStageError, RefreshAbortedError
-from skillmine.pipeline import STAGE_ORDER
-from skillmine.registry import Registry
+from skillmine.pipeline import STAGE_ORDER, Pipeline
+from skillmine.registry import Registry, SkillEntry
 from skillmine.util import digest_dir
 from skillmine.workers import state_digest
 
@@ -442,3 +444,47 @@ def test_design_skill_budget_exhaustion_yields_failed_report(tmp_path, design_sc
     assert report.status == "failed"
     assert report.skill_id is not None
     assert engine.registry.skill(report.skill_id).status == "removed"
+
+
+# -- novelty review --------------------------------------------------------------------
+
+
+def add_skill(engine, skill_id, scope, steps):
+    contract = SkillContract(task_scope=scope, execution_steps=steps, provenance_links=("res-1",))
+    compile_package(contract, {}, engine.root / "skills" / skill_id, name=skill_id)
+    engine.registry.upsert_skill(
+        SkillEntry(
+            id=skill_id,
+            name=skill_id,
+            leaf_path=ALIGN_LEAF,
+            status="untested",
+            package_path=f"skills/{skill_id}",
+            provenance=["res-1"],
+        )
+    )
+
+
+def test_review_sees_library_changes_between_calls(engine):
+    add_skill(engine, "alpha", "Plot gene clusters on a grid", ("draw the grid",))
+    add_skill(engine, "beta", "Plot cell clusters on a grid", ("draw the grid",))
+    add_skill(engine, "gamma", "Align short reads to genomes", ("index then align",))
+    add_skill(engine, "delta", "Align short reads to genomes", ("seed then extend",))
+    before = {s: engine._adjudicate(s).decision for s in ("alpha", "beta", "gamma", "delta")}
+    assert before == {"alpha": "novel", "beta": "novel", "gamma": "merge", "delta": "merge"}
+
+    # Same byte length and the same mtime, only the task scope differs.
+    metadata = engine.root / "skills" / "alpha" / "skill.json"
+    stat = metadata.stat()
+    old = metadata.read_bytes()
+    new = old.replace(b"Plot gene clusters", b"Plot cell clusters")
+    assert new != old and len(new) == len(old)
+    metadata.write_bytes(new)
+    os.utime(metadata, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    engine.registry.transition_skill("gamma", "removed", cycle=2)
+    add_skill(engine, "epsilon", "Align short reads to genomes", ("seed then extend",))
+
+    fresh = Pipeline(engine.config)
+    for skill_id in ("alpha", "beta", "delta", "epsilon"):
+        assert engine._adjudicate(skill_id) == fresh._adjudicate(skill_id)
+    assert engine._adjudicate("beta").decision == "redundant"
+    assert engine._adjudicate("delta").supporting_matches[0].entry_ref == "epsilon"

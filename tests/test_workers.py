@@ -30,7 +30,7 @@ from skillmine.workers import (
     state_digest,
 )
 
-from conftest import make_engine
+from conftest import make_engine, write_mock
 
 GENOMICS = "science/genomics"
 IMAGING = "science/imaging"
@@ -327,6 +327,28 @@ def test_evaluation_skips_pending_skills_that_lost_verified_status(engine):
     outcome = record["outcomes"]["short-read-alignment-align-short-reads"]
     assert outcome.startswith("skipped")
     assert engine.state.pending_skills == ()
+
+
+def test_evaluation_that_demotes_a_skill_recompacts_the_stats(tmp_path, campaign_script):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    build = script / "skill_build__science--genomics--alignment--short-read-alignment__1.json"
+    document = json.loads(build.read_text())
+    # A flat score gives a weak margin that the no-op optimization cannot lift.
+    document["candidates"][0]["artifacts"]["scripts/score.py"] = 'print("0.5")\n'
+    build.write_text(json.dumps(document))
+    write_mock(
+        script,
+        "layer2_optimize",
+        "short-read-alignment-align-short-reads",
+        1,
+        {"actions": [], "rebenchmark": True},
+    )
+    engine = make_engine(tmp_path / "library", script)
+    report = run_campaign(engine, CampaignConfig(campaign_id="weak", branch_schedule=(GENOMICS,)))
+    assert report.evaluation_phases[0]["outcomes"]["short-read-alignment-align-short-reads"] == "review"
+    stats = json.loads((engine.root / "index" / "stats.json").read_text())
+    assert stats == engine.registry.snapshot_stats(engine.tree).to_record()
 
 
 def test_campaign_halts_after_consecutive_failures(tmp_path, campaign_script):
