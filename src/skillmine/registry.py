@@ -2,12 +2,14 @@
 
 Storage is one append-only newline-delimited JSON file per record class plus a
 compacted ``index/`` rewritten only by the refresh stage. All writes go
-through a single-writer lock file at the registry root and use temp-file-then-
-rename so a killed process never leaves a torn record.
+through a single-writer lock, an ``flock`` on the registry root directory
+that the kernel releases when its holder dies, and use temp-file-then-rename
+so a killed process never leaves a torn record.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -61,7 +63,6 @@ RESOURCES_FILE = "resources.ndjson"
 VERIFICATIONS_FILE = "verifications.ndjson"
 TREE_SNAPSHOT = "tree.snapshot"
 INDEX_DIR = "index"
-LOCK_FILE = "LOCK"
 
 
 @dataclass
@@ -228,7 +229,12 @@ def skill_id_for(leaf_path: str, name: str, taken: set[str]) -> str:
 
 class RegistryLock:
     """Single-writer lock: a thread-reentrant lock in process, an exclusive
-    lock file across processes."""
+    ``flock`` on the registry root directory across processes.
+
+    The ``flock`` belongs to the open file description taken at the outermost
+    acquire, so a second ``Registry`` on the same root, in this process or
+    another, is refused, and a holder that dies releases it with its fds.
+    """
 
     def __init__(self, path: Path, wait: str = "block", timeout: float = 10.0):
         if wait not in ("block", "fail"):
@@ -237,6 +243,7 @@ class RegistryLock:
         self.wait = wait
         self.timeout = timeout
         self._depth = 0  # guarded by holding _rlock
+        self._fd: int | None = None  # guarded by holding _rlock
         self._rlock = threading.RLock()
 
     def acquire(self) -> None:
@@ -256,27 +263,31 @@ class RegistryLock:
 
     def _acquire_file_lock(self) -> None:
         deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self.wait == "fail" or time.monotonic() >= deadline:
-                    raise LockHeldError(f"writer lock held at {self.path}") from None
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if self.wait == "fail" or time.monotonic() >= deadline:
+                        raise LockHeldError(f"writer lock held at {self.path}") from None
                 time.sleep(0.01)
-                continue
-            with os.fdopen(fd, "w") as handle:
-                handle.write(str(os.getpid()))
-            return
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
 
     def release(self) -> None:
         if self._depth == 0:
             return
         self._depth -= 1
         if self._depth == 0:
+            fd, self._fd = self._fd, None
             try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            finally:
+                os.close(fd)
         self._rlock.release()
 
     def __enter__(self) -> "RegistryLock":
@@ -298,12 +309,19 @@ class Registry:
             path = self.root / name
             if not path.exists():
                 path.touch()
-        self.lock = RegistryLock(self.root / LOCK_FILE, wait=lock_wait, timeout=lock_timeout)
+        self.lock = RegistryLock(self.root, wait=lock_wait, timeout=lock_timeout)
         self._skills: dict[str, SkillEntry] = {}
         self._skill_history: dict[str, list[dict]] = {}
         self._resources: dict[str, ResourceEntry] = {}
         self._locator_index: dict[str, str] = {}
         self._verifications: list[VerificationRecord] = []
+        # (skill_id, layer) -> that pair's records in log order.
+        self._attempts: dict[tuple[str, str], list[VerificationRecord]] = {}
+        # Per index file, record id -> (last rendered to_record(), its fragment).
+        self._rendered: dict[str, dict[str, tuple[dict, str]]] = {
+            "skills.json": {},
+            "resources.json": {},
+        }
         self._sizes: dict[str, int] = {}
         self._reload()
 
@@ -318,7 +336,9 @@ class Registry:
         data = path.read_bytes()
         self._sizes[name] = len(data)
         text = data.decode("utf-8")
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        # Records end at "\n" alone: str.splitlines() would also split at
+        # U+0085 or U+2028, which canonical_json leaves unescaped in strings.
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             try:
@@ -338,6 +358,7 @@ class Registry:
         self._resources.clear()
         self._locator_index.clear()
         self._verifications = []
+        self._attempts = {}
         for line_no, record in enumerate(self._read_records(SKILLS_FILE), start=1):
             try:
                 entry = SkillEntry.from_record(record)
@@ -354,11 +375,15 @@ class Registry:
             self._locator_index[entry.locator] = entry.id
         for line_no, record in enumerate(self._read_records(VERIFICATIONS_FILE), start=1):
             try:
-                self._verifications.append(VerificationRecord.from_record(record))
+                self._add_verification(VerificationRecord.from_record(record))
             except KeyError as exc:
                 raise CorruptRecordError(
                     VERIFICATIONS_FILE, line_no, f"missing field {exc}"
                 ) from None
+
+    def _add_verification(self, record: VerificationRecord) -> None:
+        self._verifications.append(record)
+        self._attempts.setdefault((record.skill_id, record.layer), []).append(record)
 
     def _resync_if_stale(self) -> None:
         for name in (SKILLS_FILE, RESOURCES_FILE, VERIFICATIONS_FILE):
@@ -408,6 +433,8 @@ class Registry:
         return self._resources.get(resource_id) if resource_id else None
 
     def verifications(self, skill_id: str | None = None, layer: str | None = None) -> list[VerificationRecord]:
+        if skill_id is not None and layer is not None:
+            return list(self._attempts.get((skill_id, layer), ()))
         records = self._verifications
         if skill_id is not None:
             records = [r for r in records if r.skill_id == skill_id]
@@ -437,6 +464,17 @@ class Registry:
         if not entry.name:
             raise InvalidStatusError("skill name must be non-empty")
 
+    def _commit_skill(self, entry: SkillEntry) -> int:
+        """Append the entry's record and make it current; returns the line.
+
+        The one place a skill record changes. Caller holds the lock.
+        """
+        record = entry.to_record()
+        line = self._append(SKILLS_FILE, record)
+        self._skills[entry.id] = entry
+        self._skill_history.setdefault(entry.id, []).append(record)
+        return line
+
     def upsert_skill(self, entry: SkillEntry) -> Receipt:
         """Durable append of the full entry snapshot; one history line per call."""
         self._validate_entry(entry)
@@ -457,10 +495,7 @@ class Registry:
                 if entry.status != current.status and entry.status not in LEGAL_TRANSITIONS[current.status]:
                     raise IllegalTransitionError(entry.id, current.status, entry.status)
                 created = False
-            record = entry.to_record()
-            line = self._append(SKILLS_FILE, record)
-            self._skills[entry.id] = entry
-            self._skill_history.setdefault(entry.id, []).append(record)
+            line = self._commit_skill(entry)
             return Receipt(id=entry.id, created=created, file=SKILLS_FILE, line=line)
 
     def record_resource(self, resource: ResourceEntry) -> Receipt:
@@ -501,10 +536,7 @@ class Registry:
             entry = replace(current, status=status, updated_cycle=cycle)
             if merged_into is not None:
                 entry = replace(entry, merged_into=merged_into)
-            record = entry.to_record()
-            self._append(SKILLS_FILE, record)
-            self._skills[skill_id] = entry
-            self._skill_history.setdefault(skill_id, []).append(record)
+            self._commit_skill(entry)
             return entry
 
     def relocate_skill(self, skill_id: str, new_leaf_path: str, cycle: int) -> SkillEntry:
@@ -519,10 +551,7 @@ class Registry:
             if current.leaf_path == new_leaf_path:
                 return current
             entry = replace(current, leaf_path=new_leaf_path, updated_cycle=cycle)
-            record = entry.to_record()
-            self._append(SKILLS_FILE, record)
-            self._skills[skill_id] = entry
-            self._skill_history.setdefault(skill_id, []).append(record)
+            self._commit_skill(entry)
             return entry
 
     def set_novelty_decision(self, skill_id: str, decision: str, cycle: int) -> SkillEntry:
@@ -530,10 +559,7 @@ class Registry:
             self._resync_if_stale()
             current = self.skill(skill_id)
             entry = replace(current, novelty_decision=decision, updated_cycle=cycle)
-            record = entry.to_record()
-            self._append(SKILLS_FILE, record)
-            self._skills[skill_id] = entry
-            self._skill_history.setdefault(skill_id, []).append(record)
+            self._commit_skill(entry)
             return entry
 
     def set_verification(
@@ -553,14 +579,14 @@ class Registry:
             current = self.skill(skill_id)
             if record.skill_id != skill_id:
                 raise RegistryError("record names a different skill")
-            prior = len(self.verifications(skill_id, record.layer))
+            prior = len(self._attempts.get((skill_id, record.layer), ()))
             if record.attempt != prior + 1:
                 raise RegistryError(
                     f"attempt {record.attempt} for {skill_id}/{record.layer} "
                     f"is not consecutive (expected {prior + 1})"
                 )
             self._append(VERIFICATIONS_FILE, record.to_record())
-            self._verifications.append(record)
+            self._add_verification(record)
             if (
                 promote
                 and record.outcome == "pass"
@@ -632,14 +658,10 @@ class Registry:
                     prev = status
                 if prev != entry.status:
                     violations.append(f"skill {entry.id} replay mismatch: {prev} != {entry.status}")
-            if entry.status == "verified":
-                passes = [
-                    r
-                    for r in self.verifications(entry.id, "execution")
-                    if r.outcome == "pass"
-                ]
-                if not passes:
-                    violations.append(f"verified skill {entry.id} has no passing execution record")
+            if entry.status == "verified" and not any(
+                r.outcome == "pass" for r in self._attempts.get((entry.id, "execution"), ())
+            ):
+                violations.append(f"verified skill {entry.id} has no passing execution record")
 
         for node in tree.nodes.values():
             for skill_id in sorted(node.linked_skills):
@@ -653,10 +675,8 @@ class Registry:
                         f"node {treemod.format_path(node.path)} links unknown resource {resource_id}"
                     )
 
-        by_key: dict[tuple[str, str], list[int]] = {}
-        for record in self._verifications:
-            by_key.setdefault((record.skill_id, record.layer), []).append(record.attempt)
-        for (skill_id, layer), attempts in sorted(by_key.items()):
+        for (skill_id, layer), records in sorted(self._attempts.items()):
+            attempts = [r.attempt for r in records]
             if attempts != list(range(1, len(attempts) + 1)):
                 violations.append(
                     f"attempts for {skill_id}/{layer} are not consecutive from 1: {attempts}"
@@ -683,18 +703,47 @@ class Registry:
         design commits, and after an evaluation phase changed a skill's status."""
         with self.lock:
             index = self.root / INDEX_DIR
+            atomic_write_text(index / "skills.json", self._render_index("skills.json", self.skills()))
             atomic_write_text(
-                index / "skills.json",
-                dump_json_doc([e.to_record() for e in self.skills()]),
-            )
-            atomic_write_text(
-                index / "resources.json",
-                dump_json_doc([e.to_record() for e in self.resources()]),
+                index / "resources.json", self._render_index("resources.json", self.resources())
             )
             if tree is not None:
                 atomic_write_text(
                     index / "stats.json", dump_json_doc(self.snapshot_stats(tree).to_record())
                 )
+
+    def _render_index(self, name: str, entries: list[SkillEntry] | list[ResourceEntry]) -> str:
+        """``dump_json_doc`` of the entries' records, re-rendering only the
+        records whose ``to_record()`` changed since the last compaction."""
+        if not entries:
+            return "[]\n"
+        cache = self._rendered[name]
+        records = {entry.id: entry.to_record() for entry in entries}
+        stale = [
+            (record_id, record)
+            for record_id, record in records.items()
+            if record_id not in cache or cache[record_id][0] != record
+        ]
+        if stale:
+            fragments = _render_records([record for _, record in stale])
+            for (record_id, record), fragment in zip(stale, fragments):
+                cache[record_id] = (record, fragment)
+        return "[\n" + ",\n".join(cache[record_id][1] for record_id in records) + "\n]\n"
+
+
+# ``dump_json_doc``'s settings, in an encoder built once.
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def _render_records(records: list[dict]) -> list[str]:
+    """Each record as ``dump_json_doc`` prints it as an element of a list.
+
+    One encoding of the whole list, split between its elements: JSON escapes
+    newlines inside strings, so ``",\\n  {"`` (a line at the list's indent
+    opening an object) occurs only where one element ends and the next begins.
+    """
+    first, *rest = _PRETTY.encode(records)[2:-2].split(",\n  {")
+    return [first] + ["  {" + fragment for fragment in rest]
 
 
 def open_registry(root_dir: str | Path, lock_wait: str = "block", lock_timeout: float = 10.0) -> Registry:

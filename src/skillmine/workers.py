@@ -43,8 +43,10 @@ CAMPAIGNS_DIR = "campaigns"
 MARKER_FILE = ".workspace.json"
 WORKER_SCRATCH = ".worker"
 
-# Volatile by design: excluded from state digests.
-STATE_DIGEST_EXCLUDE = ("LOCK", WORKSPACES_DIR, CAMPAIGNS_DIR, "sandbox")
+# Volatile by design: excluded from state digests. "LOCK" is the lock file an
+# older registry left at the root; "site" holds an exported bundle and its
+# stale marker, output derived from the engine state.
+STATE_DIGEST_EXCLUDE = ("LOCK", WORKSPACES_DIR, CAMPAIGNS_DIR, "sandbox", "site")
 
 
 def leaf_owned_prefixes(leaf_path: treemod.NodePath) -> tuple[str, str]:

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import signal
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skillmine import registry as registrymod
 from skillmine import tree as treemod
 from skillmine.errors import (
     CorruptRecordError,
@@ -19,7 +26,10 @@ from skillmine.errors import (
     UnknownSkillError,
 )
 from skillmine.registry import (
+    LAYERS,
     LEGAL_TRANSITIONS,
+    OUTCOMES,
+    RESOURCE_KINDS,
     SKILL_STATUSES,
     ResourceEntry,
     SkillEntry,
@@ -27,6 +37,7 @@ from skillmine.registry import (
     open_registry,
     skill_id_for,
 )
+from skillmine.util import canonical_json, dump_json_doc
 
 
 def entry(skill_id="align-reads", leaf="science/genomics/alignment/short-read-alignment", **kw):
@@ -101,6 +112,15 @@ def test_durability_after_simulated_kill(tmp_path):
     # a new process-like reader sees the entry without any close/flush step
     fresh = open_registry(root)
     assert fresh.has_skill("align-reads")
+
+
+def test_names_with_unicode_line_separators_survive_a_reload(tmp_path):
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    for i, name in enumerate(("next\x85line", "line\u2028separator", "para\u2029graph")):
+        registry.upsert_skill(entry(skill_id=f"s-{i}", name=name))
+    reloaded = open_registry(root)
+    assert [e.name for e in reloaded.skills()] == [e.name for e in registry.skills()]
 
 
 # -- resources -----------------------------------------------------------------
@@ -271,6 +291,161 @@ def test_integrity_flags_unknown_tree_links(registry, tree):
     assert any("phantom" in v for v in violations)
 
 
+def reference_integrity_check(registry, tree) -> list[str]:
+    """The full scan ``integrity_check`` replaced: one filter over every
+    verification record per verified skill, then a per-check attempt map."""
+    violations: list[str] = []
+    violations.extend(treemod.check_invariants(tree))
+    all_records = registry.verifications()
+    for item in registry.skills():
+        node = tree.nodes.get(treemod.parse_path(item.leaf_path))
+        if node is None:
+            violations.append(f"skill {item.id} references missing leaf {item.leaf_path}")
+        elif node.status == "pruned" and item.status not in ("deprecated", "removed"):
+            violations.append(
+                f"skill {item.id} points at pruned leaf {item.leaf_path} without deprecation"
+            )
+        history = registry.skill_history(item.id)
+        if history:
+            if history[0]["status"] != "untested":
+                violations.append(f"skill {item.id} history does not start at untested")
+            prev = history[0]["status"]
+            for record in history[1:]:
+                status = record["status"]
+                if status != prev and status not in LEGAL_TRANSITIONS[prev]:
+                    violations.append(
+                        f"skill {item.id} history contains illegal transition {prev} -> {status}"
+                    )
+                prev = status
+            if prev != item.status:
+                violations.append(f"skill {item.id} replay mismatch: {prev} != {item.status}")
+        if item.status == "verified":
+            passes = [
+                r
+                for r in all_records
+                if r.skill_id == item.id and r.layer == "execution" and r.outcome == "pass"
+            ]
+            if not passes:
+                violations.append(f"verified skill {item.id} has no passing execution record")
+    for node in tree.nodes.values():
+        for skill_id in sorted(node.linked_skills):
+            if not registry.has_skill(skill_id):
+                violations.append(
+                    f"node {treemod.format_path(node.path)} links unknown skill {skill_id}"
+                )
+        for resource_id in sorted(node.linked_resources):
+            if resource_id not in {r.id for r in registry.resources()}:
+                violations.append(
+                    f"node {treemod.format_path(node.path)} links unknown resource {resource_id}"
+                )
+    by_key: dict[tuple[str, str], list[int]] = {}
+    for record in all_records:
+        by_key.setdefault((record.skill_id, record.layer), []).append(record.attempt)
+    for (skill_id, layer), attempts in sorted(by_key.items()):
+        if attempts != list(range(1, len(attempts) + 1)):
+            violations.append(
+                f"attempts for {skill_id}/{layer} are not consecutive from 1: {attempts}"
+            )
+        if not registry.has_skill(skill_id):
+            violations.append(f"verification records reference unknown skill {skill_id}")
+    return violations
+
+
+INTEGRITY_TREE = "root\n  alpha\n    one *\n    two *\n  beta\n    three *\n"
+LEAVES = ("root/alpha/one", "root/alpha/two", "root/beta/three")
+PLANTS = ("gap", "unknown-skill", "illegal-history", "missing-leaf", "pruned-leaf", "phantom-link")
+
+skill_plans = st.lists(
+    st.tuples(
+        st.sampled_from(LEAVES),
+        st.lists(st.integers(0, 2), max_size=4),  # picks among legal next statuses
+        st.lists(st.tuples(st.sampled_from(LAYERS), st.sampled_from(OUTCOMES)), max_size=5),
+    ),
+    max_size=6,
+)
+
+
+def _append_line(path: Path, record: dict) -> None:
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(canonical_json(record) + "\n")
+
+
+@settings(max_examples=120, deadline=None)
+@given(plans=skill_plans, plants=st.sets(st.sampled_from(PLANTS)))
+def test_integrity_check_equals_the_full_scan(plans, plants):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "library"
+        registry = open_registry(root)
+        tree = treemod.load_tree(INTEGRITY_TREE)
+        for i, (leaf, steps, checks) in enumerate(plans):
+            skill_id = f"s-{i}"
+            registry.upsert_skill(entry(skill_id=skill_id, leaf=leaf))
+            tree = treemod.link_skill(tree, treemod.parse_path(leaf), skill_id)
+            for layer, outcome in checks:
+                attempt = len(registry.verifications(skill_id, layer)) + 1
+                registry.set_verification(
+                    skill_id,
+                    VerificationRecord(skill_id, layer, outcome, attempt, cycle=1),
+                    promote=False,
+                )
+            for pick in steps:
+                targets = sorted(LEGAL_TRANSITIONS[registry.skill(skill_id).status])
+                if targets:
+                    registry.transition_skill(skill_id, targets[pick % len(targets)], cycle=2)
+        verifications = root / "verifications.ndjson"
+        if "gap" in plants:
+            skill_id = "s-0" if plans else "ghost"
+            attempt = len(registry.verifications(skill_id, "execution")) + 2
+            _append_line(verifications, VerificationRecord(skill_id, "execution", "pass", attempt).to_record())
+        if "unknown-skill" in plants:
+            _append_line(verifications, VerificationRecord("ghost", "system", "fail", 1).to_record())
+        if "illegal-history" in plants:
+            _append_line(root / "skills.ndjson", entry(skill_id="jumper", status="verified").to_record())
+        if "missing-leaf" in plants:
+            registry.upsert_skill(entry(skill_id="lost", leaf="root/alpha/ghost"))
+        if "pruned-leaf" in plants:
+            registry.upsert_skill(entry(skill_id="stranded", leaf="root/beta/three"))
+            tree = treemod.prune_leaf(tree, treemod.parse_path("root/beta/three"), "stale")
+        if "phantom-link" in plants:
+            tree = treemod.link_skill(tree, treemod.parse_path("root/alpha/two"), "phantom")
+
+        for view in (registry, open_registry(root)):
+            violations = view.integrity_check(tree)
+            assert violations == reference_integrity_check(view, tree)
+        planted = {
+            "gap": "not consecutive",
+            "unknown-skill": "reference unknown skill ghost",
+            "illegal-history": "jumper history does not start at untested",
+            "missing-leaf": "lost references missing leaf",
+            "pruned-leaf": "stranded points at pruned leaf",
+            "phantom-link": "links unknown skill phantom",
+        }
+        for plant in plants:
+            assert any(planted[plant] in v for v in violations), plant
+
+
+def test_verifications_by_skill_and_layer_keep_log_order(registry):
+    registry.upsert_skill(entry())
+    registry.upsert_skill(entry(skill_id="other"))
+    for attempt, outcome in enumerate(("fail", "error", "pass"), start=1):
+        registry.set_verification(
+            "align-reads",
+            VerificationRecord("align-reads", "synthetic", outcome, attempt),
+            promote=False,
+        )
+        registry.set_verification(
+            "other", VerificationRecord("other", "synthetic", "fail", attempt), promote=False
+        )
+    indexed = registry.verifications("align-reads", "synthetic")
+    assert [r.outcome for r in indexed] == ["fail", "error", "pass"]
+    assert indexed == [
+        r for r in registry.verifications() if r.skill_id == "align-reads" and r.layer == "synthetic"
+    ]
+    indexed.clear()  # callers get a copy
+    assert len(registry.verifications("align-reads", "synthetic")) == 3
+    assert registry.verifications("align-reads", "execution") == []
+
+
 # -- locking ---------------------------------------------------------------------
 
 
@@ -361,6 +536,41 @@ def test_concurrent_writers_lose_no_updates(tmp_path):
     assert len(lines) == workers * per_worker
 
 
+def _hold_lock(root: str, ready) -> None:
+    registry = open_registry(root)
+    registry.lock.acquire()
+    ready.set()
+    time.sleep(120)
+
+
+def test_killed_lock_holder_releases_the_lock(tmp_path):
+    root = tmp_path / "library"
+    open_registry(root)
+    context = multiprocessing.get_context("spawn")
+    ready = context.Event()
+    holder = context.Process(target=_hold_lock, args=(str(root), ready))
+    holder.start()
+    try:
+        assert ready.wait(timeout=60)
+        with pytest.raises(LockHeldError):
+            open_registry(root, lock_wait="fail").upsert_skill(entry())
+    finally:
+        holder.kill()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    assert holder.exitcode == -signal.SIGKILL
+    writer = open_registry(root, lock_wait="fail")
+    assert writer.upsert_skill(entry()).created
+
+
+def test_lock_file_left_by_an_older_registry_does_not_block(tmp_path):
+    root = tmp_path / "library"
+    open_registry(root)
+    (root / "LOCK").write_text("99999")
+    registry = open_registry(root, lock_wait="fail")
+    assert registry.upsert_skill(entry()).created
+
+
 # -- ids ------------------------------------------------------------------------
 
 
@@ -383,3 +593,103 @@ def test_index_compaction_writes_sorted_views(tmp_path, tree):
     assert [row["id"] for row in compacted] == ["aa", "zz"]
     stats = json.loads((root / "index" / "stats.json").read_text())
     assert stats["skill_count"] == 2
+
+
+def _index_bytes(root: Path) -> tuple[bytes, bytes]:
+    index = root / "index"
+    return (index / "skills.json").read_bytes(), (index / "resources.json").read_bytes()
+
+
+def _full_render(registry) -> tuple[bytes, bytes]:
+    return (
+        dump_json_doc([e.to_record() for e in registry.skills()]).encode("utf-8"),
+        dump_json_doc([r.to_record() for r in registry.resources()]).encode("utf-8"),
+    )
+
+
+names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("upsert"), names, st.sampled_from(LEAVES)),
+        st.tuples(st.just("transition"), st.integers(0, 9), st.integers(0, 2)),
+        st.tuples(st.just("novelty"), st.integers(0, 9), st.sampled_from(["novel", "merge", "redundant"])),
+        st.tuples(st.just("toggle"), st.integers(0, 9), st.just("")),
+        st.tuples(st.just("relocate"), st.integers(0, 9), st.sampled_from(LEAVES)),
+        st.tuples(st.just("resource"), names, st.sampled_from(RESOURCE_KINDS)),
+        st.tuples(st.just("compact"), st.just(0), st.just("")),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=index_ops)
+def test_compacted_index_equals_a_full_render(ops):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "library"
+        registry = open_registry(root)
+        registry.compact_index()
+        assert _index_bytes(root) == (b"[]\n", b"[]\n") == _full_render(registry)
+
+        def pick(n: int) -> str | None:
+            ids = [e.id for e in registry.skills()]
+            return ids[n % len(ids)] if ids else None
+
+        for kind, arg, value in ops:
+            if kind == "upsert":
+                skill_id = f"s-{len(registry.skills())}"
+                registry.upsert_skill(entry(skill_id=skill_id, name=arg, leaf=value, provenance=[arg]))
+            elif kind == "resource":
+                registry.record_resource(
+                    ResourceEntry(id="", kind=value, locator=f"https://example.org/{arg}", leaf_paths=[arg])
+                )
+            elif kind == "compact":
+                registry.compact_index()
+                assert _index_bytes(root) == _full_render(registry)
+            elif (skill_id := pick(arg)) is None:
+                continue
+            elif kind == "transition":
+                targets = sorted(LEGAL_TRANSITIONS[registry.skill(skill_id).status])
+                if targets:
+                    registry.transition_skill(skill_id, targets[value % len(targets)], cycle=3)
+            elif kind == "novelty":
+                registry.set_novelty_decision(skill_id, value, cycle=4)
+            elif kind == "relocate":
+                registry.relocate_skill(skill_id, value, cycle=5)
+            else:  # a record changed, compacted, then changed back
+                before = registry.skill(skill_id)
+                registry.set_novelty_decision(skill_id, "toggled", cycle=before.updated_cycle)
+                registry.compact_index()
+                assert _index_bytes(root) == _full_render(registry)
+                registry.set_novelty_decision(skill_id, before.novelty_decision or "novel", cycle=before.updated_cycle)
+        registry.compact_index()
+        assert _index_bytes(root) == _full_render(registry)
+        open_registry(root).compact_index()
+        assert _index_bytes(root) == _full_render(registry)
+
+
+def test_warm_compaction_re_renders_only_changed_records(tmp_path, monkeypatch):
+    registry = open_registry(tmp_path / "library")
+    for i in range(20):
+        registry.upsert_skill(entry(skill_id=f"s-{i:02d}", leaf="root/alpha/one"))
+    for i in range(10):
+        registry.record_resource(
+            ResourceEntry(id="", kind="paper", locator=f"https://example.org/{i}", leaf_paths=["root/alpha/one"])
+        )
+    rendered: list[str] = []
+    render = registrymod._render_records
+
+    def counting_render(records: list[dict]) -> list[str]:
+        rendered.extend(record["id"] for record in records)
+        return render(records)
+
+    monkeypatch.setattr(registrymod, "_render_records", counting_render)
+    registry.compact_index()
+    assert len(rendered) == 30
+    rendered.clear()
+    registry.compact_index()
+    assert rendered == []
+    registry.transition_skill("s-07", "verified", cycle=2)
+    registry.compact_index()
+    assert rendered == ["s-07"]
+

@@ -416,3 +416,21 @@ def test_interrupt_and_resume_matches_uninterrupted_run(tmp_path, campaign_scrip
         assert resumed.status == "completed"
         assert len(resumed.phases) == total_phases
         assert state_digest(root) == straight_digest
+
+
+def test_site_exported_into_the_library_does_not_break_resume(tmp_path, campaign_script):
+    from skillmine.site import export_site
+
+    config = campaign_config(cycles=1)
+    baseline = make_engine(tmp_path / "straight" / "library", campaign_script)
+    run_campaign(baseline, config)
+    straight_digest = state_digest(baseline.root)
+
+    engine = make_engine(tmp_path / "interrupted" / "library", campaign_script)
+    assert run_campaign(engine, config, stop_after_phases=1).status == "interrupted"
+    assert (engine.root / "site" / ".stale").exists()
+    export_site(engine.registry, engine.tree, engine.root / "site")
+    assert not (engine.root / "site" / ".stale").exists()
+    resumed = resume_campaign(Pipeline(engine.config), "camp")
+    assert resumed.status == "completed"
+    assert state_digest(engine.root) == straight_digest
