@@ -22,7 +22,13 @@ from .errors import (
     PackageError,
     PathEscapeError,
 )
-from .util import atomic_write_bytes, atomic_write_text, dump_json_doc, is_escaping_relpath
+from .util import (
+    atomic_write_bytes,
+    atomic_write_text,
+    dump_json_doc,
+    is_escaping_relpath,
+    walk_files,
+)
 
 INPUT_KINDS = ("file", "argument")
 OUTPUT_KINDS = ("file", "stream")
@@ -326,12 +332,7 @@ def load_package(root: str | Path) -> SkillPackage:
     root = Path(root)
 
     def listing(sub: str) -> tuple[str, ...]:
-        base = root / sub
-        if not base.is_dir():
-            return ()
-        return tuple(
-            sorted(p.relative_to(root).as_posix() for p in base.rglob("*") if p.is_file())
-        )
+        return tuple(sorted(f"{sub}/{rel}" for rel in walk_files(root / sub)))
 
     return SkillPackage(
         root_path=root,
@@ -406,7 +407,3 @@ def resolve_smoke_target(package: SkillPackage, timeout: float = 5.0) -> TestCom
     if not contract.test_commands:
         return None
     return TestCommand(command=contract.test_commands[0], timeout=timeout)
-
-
-def is_missing_tests(package: SkillPackage) -> bool:
-    return not package.contract().test_commands

@@ -228,10 +228,6 @@ class DigestMismatchError(WorkerError):
     pass
 
 
-class CampaignHaltedError(WorkerError):
-    pass
-
-
 # -- export --------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+import os
 import re
 import shutil
 import subprocess
@@ -36,10 +37,12 @@ from .registry import Registry, VerificationRecord
 from .util import (
     atomic_write_text,
     dump_json_doc,
+    file_manifest,
     is_escaping_relpath,
-    iter_files,
     normalize_output_bytes,
+    read_bytes_at,
     sha256_hex,
+    walk_files,
 )
 
 JOB_ID_VAR = "SF_JOB_ID"
@@ -235,12 +238,6 @@ def _copy_package(package_root: Path, dest: Path) -> None:
     shutil.copytree(package_root, dest, dirs_exist_ok=True)
 
 
-def _manifest(root: Path) -> dict[str, str]:
-    return {
-        p.relative_to(root).as_posix(): sha256_hex(p.read_bytes()) for p in iter_files(root)
-    }
-
-
 def _matches_any(rel: str, patterns: Sequence[str]) -> bool:
     return any(fnmatch.fnmatch(rel, pattern) for pattern in patterns)
 
@@ -317,13 +314,14 @@ class ValidationHarness:
 
     def _artifacts_digest(self, sandbox: Path, volatile: Sequence[str]) -> str:
         digest = hashlib.sha256()
-        for path in iter_files(sandbox):
-            rel = path.relative_to(sandbox).as_posix()
+        top = os.fspath(sandbox)
+        for rel in walk_files(top):
             if _matches_any(rel, volatile):
                 continue
+            data = normalize_output_bytes(read_bytes_at(top, rel))
             digest.update(rel.encode("utf-8"))
             digest.update(b"\x00")
-            digest.update(sha256_hex(normalize_output_bytes(path.read_bytes())).encode("ascii"))
+            digest.update(sha256_hex(data).encode("ascii"))
         return digest.hexdigest()
 
     # -- layer 1: execution -------------------------------------------------------
@@ -640,12 +638,12 @@ class ValidationHarness:
             rendered = rendered.replace("{" + name + "}", value)
         argv = tokenize_command(rendered)
 
-        before = _manifest(sandbox)
+        before = file_manifest(sandbox)
         exit_status, log, _duration = self._run(argv, sandbox, self.timeout)
         if exit_status is None:
             raise HarnessError(f"synthetic invocation timed out: {rendered}")
 
-        after = _manifest(sandbox)
+        after = file_manifest(sandbox)
         volatile = tuple(fixtures.volatile_patterns)
         changed: list[tuple[str, str]] = []
         for rel in sorted(after):

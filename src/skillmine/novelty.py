@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from . import tree as treemod
 from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
 from .registry import Registry
+from .util import read_bytes_at
 
 SAME_TASK_JACCARD = 0.6
 SAME_SCOPE_JACCARD = 0.6
@@ -382,7 +384,9 @@ def load_catalog_snapshot(path: str | Path, catalog_id: str | None = None) -> li
         text = path.read_text("utf-8")
     except OSError as exc:
         raise CatalogReadError(f"unreadable catalog snapshot {path}: {exc}") from None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Entries end at "\n" alone: str.splitlines() would also split at U+0085
+    # or U+2028, which JSON allows unescaped inside a string.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -429,6 +433,7 @@ def local_catalog_entries(
     """
     if texts is None:
         texts = {}
+    top = os.fspath(packages_root)
     entries: list[CatalogEntry] = []
     for skill in registry.skills():
         if skill.status in ("removed",):
@@ -436,7 +441,7 @@ def local_catalog_entries(
         task_text = skill.name
         scope_text = ""
         try:
-            data = (packages_root / skill.package_path / "skill.json").read_bytes()
+            data = read_bytes_at(top, os.path.join(skill.package_path, "skill.json"))
         except OSError:
             data = None
         if data is not None:

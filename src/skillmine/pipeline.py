@@ -770,10 +770,6 @@ class Pipeline:
         self._write_cycle_report(report)
         return report
 
-    def refresh_state(self) -> StageOutcome:
-        """Run the refresh stage by itself (stages 1-4 must be complete)."""
-        return self.run_stage("refresh")
-
     def _write_cycle_report(self, report: CycleReport) -> None:
         path = self.root / REPORTS_DIR / "cycles" / f"cycle-{report.cycle_index:05d}.json"
         atomic_write_text(path, dump_json_doc(report.to_record()))

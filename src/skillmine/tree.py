@@ -360,22 +360,6 @@ def link_skill(tree: DomainTree, path: NodePath, skill_id: str) -> DomainTree:
     return _updated(tree, {path: replace(node, linked_skills=node.linked_skills | {skill_id})})
 
 
-def unlink_skill(tree: DomainTree, path: NodePath, skill_id: str) -> DomainTree:
-    node = tree.node(path)
-    return _updated(
-        tree,
-        {
-            path: replace(
-                node,
-                linked_skills=node.linked_skills - {skill_id},
-                recent_verifications=tuple(
-                    e for e in node.recent_verifications if e[0] != skill_id
-                ),
-            )
-        },
-    )
-
-
 def record_verification(
     tree: DomainTree, path: NodePath, skill_id: str, outcome: str, cycle: int
 ) -> DomainTree:

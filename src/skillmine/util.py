@@ -69,38 +69,63 @@ def normalize_output_bytes(data: bytes) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def iter_files(root: Path, exclude: Iterable[str] = ()) -> list[Path]:
-    """All files under root, sorted by relative path, minus excluded prefixes.
+def walk_files(root: str | os.PathLike, exclude: Iterable[str] = ()) -> list[str]:
+    """Relative POSIX names of all files under root, in path-component order.
 
-    Exclusions are relative POSIX paths; a trailing ``/`` is not required,
-    and an entry excludes both the path itself and everything beneath it.
+    One ``os.scandir`` pass per directory. Regular files and symlinks to
+    files are listed; symlinked directories are not descended into, and
+    dangling links, FIFOs and other special files are skipped. Exclusions are
+    relative POSIX paths; a trailing ``/`` is not required, and an entry
+    excludes both the path itself and everything beneath it, pruned at its
+    directory so that it is never scanned. A root that is not a directory
+    has no files.
     """
-    skip = tuple(e.rstrip("/") for e in exclude)
-    found: list[Path] = []
-    if not root.exists():
-        return found
-    for path in sorted(root.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(root).as_posix()
-        if any(rel == s or rel.startswith(s + "/") for s in skip):
-            continue
-        found.append(path)
+    skip = frozenset(e.rstrip("/") for e in exclude)
+    found: list[str] = []
+
+    def walk(directory: str, prefix: str) -> None:
+        try:
+            with os.scandir(directory) as scan:
+                entries = sorted(scan, key=lambda entry: entry.name)
+        except PermissionError:
+            return
+        # Sorting each directory by name and descending in place gives the
+        # order of the sorted component tuples: "a/b" comes before "a-b".
+        for entry in entries:
+            rel = prefix + entry.name
+            if rel in skip:
+                continue
+            if entry.is_dir(follow_symlinks=False):
+                walk(entry.path, rel + "/")
+                continue
+            try:
+                if entry.is_file():
+                    found.append(rel)
+            except OSError:  # a symlink loop is not a file, as for Path.is_file
+                pass
+
+    top = os.fspath(root)
+    if os.path.isdir(top):
+        walk(top, "")
     return found
 
 
-def digest_dir(root: Path, exclude: Iterable[str] = (), normalize: bool = False) -> str:
-    """Order-independent content digest of a directory tree."""
+def read_bytes_at(root: str, rel: str) -> bytes:
+    with open(os.path.join(root, rel), "rb") as handle:
+        return handle.read()
+
+
+def file_manifest(root: str | os.PathLike, exclude: Iterable[str] = ()) -> dict[str, str]:
+    """The sha256 of each file under root, by relative name, in walk order."""
+    top = os.fspath(root)
+    return {rel: sha256_hex(read_bytes_at(top, rel)) for rel in walk_files(top, exclude)}
+
+
+def digest_dir(root: str | os.PathLike, exclude: Iterable[str] = ()) -> str:
+    """Content digest of a directory tree: each file's name and sha256, in walk order."""
     digest = hashlib.sha256()
-    for path in iter_files(root, exclude):
-        rel = path.relative_to(root).as_posix()
-        data = path.read_bytes()
-        if normalize:
-            data = normalize_output_bytes(data)
-        digest.update(rel.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(sha256_hex(data).encode("ascii"))
-        digest.update(b"\x00")
+    for rel, file_digest in file_manifest(root, exclude).items():
+        digest.update(f"{rel}\x00{file_digest}\x00".encode("utf-8"))
     return digest.hexdigest()
 
 

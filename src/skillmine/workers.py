@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,9 +34,10 @@ from .util import (
     atomic_write_text,
     dump_json_doc,
     digest_dir,
+    file_manifest,
     is_escaping_relpath,
-    iter_files,
     sha256_hex,
+    walk_files,
 )
 
 WORKSPACES_DIR = "workspaces"
@@ -95,11 +97,7 @@ class MergeResult:
 
 
 def _workspace_manifest(root: Path) -> dict[str, str]:
-    manifest = {}
-    for path in iter_files(root, exclude=(MARKER_FILE, WORKER_SCRATCH)):
-        rel = path.relative_to(root).as_posix()
-        manifest[rel] = sha256_hex(path.read_bytes())
-    return manifest
+    return file_manifest(root, exclude=(MARKER_FILE, WORKER_SCRATCH))
 
 
 def spawn_workspace(root: str | Path, tree: treemod.DomainTree, leaf_path: treemod.NodePath) -> Workspace:
@@ -134,9 +132,9 @@ def spawn_workspace(root: str | Path, tree: treemod.DomainTree, leaf_path: treem
     index = root / "index"
     if index.is_dir():
         shutil.copytree(index, isolated / "index")
-        for copied in (isolated / "index").rglob("*"):
-            if copied.is_file():
-                copied.chmod(0o444)
+        copied = os.fspath(isolated / "index")
+        for rel in walk_files(copied):
+            os.chmod(os.path.join(copied, rel), 0o444)
 
     manifest = _workspace_manifest(isolated)
     digest = sha256_hex(dump_json_doc(manifest).encode("utf-8"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -141,6 +142,21 @@ def test_catalog_snapshot_round_trip(fixtures_dir):
     assert len(entries) == 20
     assert all(e.catalog_id == "catalog_hub" for e in entries)
     assert entries[0].entry_ref.startswith("hub/")
+
+
+def test_catalog_texts_with_unicode_line_separators_round_trip(tmp_path):
+    texts = ["align\u2028reads", "call\u2029variants", "count\u0085cells"]
+    records = [
+        {"entry_ref": f"hub/{n}", "task_description": text, "scope_summary": text[::-1]}
+        for n, text in enumerate(texts)
+    ]
+    path = tmp_path / "hub.ndjson"
+    path.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+    )
+    entries = novelty.load_catalog_snapshot(path)
+    assert [e.task_description for e in entries] == texts
+    assert [e.scope_summary for e in entries] == [text[::-1] for text in texts]
 
 
 # -- indexed search against the full scan ----------------------------------------------
