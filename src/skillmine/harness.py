@@ -3,7 +3,8 @@
 Every validation run is hermetic: commands execute in a private sandbox
 directory with a scrubbed environment and a wall-clock timeout, and nothing is
 written outside the sandbox and the append-only report tree. Sandboxes follow
-``<base>/<skill-id>/<layer>/<attempt>/``.
+``<base>/<skill-id>/<layer>/<attempt>/``. Runs for different skills share
+no path, so they may run at once on a ``validation_pool``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import re
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .contracts import (
     SkillPackage,
@@ -232,6 +235,30 @@ def requested_tasks(package: SkillPackage, adapter: SchedulerAdapter) -> int:
         if match:
             return int(match.group(1))
     return adapter.default_tasks
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def validation_pool(tasks: int) -> Iterator[ThreadPoolExecutor]:
+    """A thread pool for subprocess-bound validation runs: one worker per
+    available CPU, and no more workers than tasks.
+
+    Leaving the block, also by an exception, cancels the tasks that have not
+    started and waits for the running ones, so no validation thread outlives
+    it.
+    """
+    pool = ThreadPoolExecutor(max_workers=max(1, min(available_cpus(), tasks)))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _copy_package(package_root: Path, dest: Path) -> None:

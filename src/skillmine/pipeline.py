@@ -24,11 +24,15 @@ from .errors import (
 )
 from .gateway import EffortProfile, Gateway, LiveProvider, MockProvider, StageResponse
 from .harness import (
+    RepairOutcome,
     SandboxConfig,
     SchedulerAdapter,
     SyntheticFixtures,
+    SyntheticReport,
+    TestReport,
     ValidationHarness,
     needs_scheduler,
+    validation_pool,
 )
 from .registry import (
     Registry,
@@ -457,65 +461,98 @@ class Pipeline:
         return True
 
     def _stage_skill_test(self, focus_branch: str | None) -> tuple[str, str]:
+        """Run the candidates' validation on the pool; commit in build order.
+
+        Repairs call the gateway and write the registry, so they run here,
+        in the walk, as do the layer runs after a repair.
+        """
         del focus_branch
-        cycle = self.state.cycle_index
         summaries: list[str] = []
-        for leaf, skill_id in self._scratch.built:
+        testable: dict[str, str] = {}  # skill id -> package path
+        for _leaf, skill_id in self._scratch.built:
             entry = self.registry.skill(skill_id)
-            package = contractsmod.load_package(self.root / entry.package_path)
-            if entry.smoke_target is None:
-                self._scratch.untestable.append(skill_id)
-                summaries.append(f"{skill_id}:untestable")
-                continue
-
-            report = self.harness.execution_test(
-                package, skill_id, self._sandbox_config(), attempt=1
-            )
-            self.registry.set_verification(
-                skill_id,
-                VerificationRecord(
-                    skill_id=skill_id,
-                    layer="execution",
-                    outcome=report.verdict if report.verdict in ("pass", "fail") else "error",
-                    attempt=1,
-                    report_locator=report.report_locator,
-                    cycle=cycle,
-                ),
-                promote=False,
-            )
-            if report.verdict != "pass":
-                outcome = self.harness.repair_loop(
-                    package,
-                    skill_id,
-                    report,
-                    budget=self.config.repair_attempts,
-                    gateway=self.gateway,
-                    registry=self.registry,
-                    cycle=cycle,
-                    config=self._sandbox_config(),
-                    promote=False,
-                )
-                if outcome.outcome == "removed":
-                    self._scratch.removed.append((leaf, skill_id))
-                    summaries.append(f"{skill_id}:removed")
+            if entry.smoke_target is not None:
+                testable[skill_id] = entry.package_path
+        with validation_pool(len(testable)) as pool:
+            runs = {s: pool.submit(self._validate, s, path) for s, path in testable.items()}
+            for leaf, skill_id in self._scratch.built:
+                run = runs.get(skill_id)
+                if run is None:
+                    self._scratch.untestable.append(skill_id)
+                    summaries.append(f"{skill_id}:untestable")
                     continue
-                package = contractsmod.load_package(self.root / entry.package_path)
-
-            reason = self._layer_checks(package, skill_id)
-            if reason is None:
-                self._scratch.passed.append(skill_id)
-                summaries.append(f"{skill_id}:pass")
-            else:
-                self._scratch.flagged.append((skill_id, reason))
-                summaries.append(f"{skill_id}:flagged")
+                package, report, layers = run.result()
+                repair = self._commit_and_repair(package, skill_id, report)
+                if repair is not None:
+                    if repair.outcome == "removed":
+                        self._scratch.removed.append((leaf, skill_id))
+                        summaries.append(f"{skill_id}:removed")
+                        continue
+                    package = contractsmod.load_package(package.root_path)
+                    layers = self._run_layers(package, skill_id)
+                if isinstance(layers, Exception):
+                    raise layers
+                reason = self._judge_layers(skill_id, *layers)
+                if reason is None:
+                    self._scratch.passed.append(skill_id)
+                    summaries.append(f"{skill_id}:pass")
+                else:
+                    self._scratch.flagged.append((skill_id, reason))
+                    summaries.append(f"{skill_id}:flagged")
         digest = sha256_hex(";".join(summaries).encode("utf-8"))
         return digest, f"tested={len(self._scratch.built)}"
 
-    def _layer_checks(self, package, skill_id: str) -> str | None:
-        """Synthetic (always) and system (when applicable) checks after execution."""
+    def _validate(self, skill_id: str, package_path: str):
+        """Pool task: execution attempt 1 and, when it passes, the layer runs.
+
+        Returns (package, execution report, layer runs). A layer run's
+        exception is returned in place of the runs, so that the execution
+        record is committed before it is raised.
+        """
+        package = contractsmod.load_package(self.root / package_path)
+        report = self.harness.execution_test(package, skill_id, self._sandbox_config(), attempt=1)
+        layers = None
+        if report.verdict == "pass":
+            try:
+                layers = self._run_layers(package, skill_id)
+            except Exception as exc:
+                layers = exc
+        return package, report, layers
+
+    def _commit_and_repair(self, package, skill_id: str, report) -> RepairOutcome | None:
+        """Commit execution attempt 1; repair when it did not pass.
+
+        Returns the repair outcome, or None when the first attempt passed.
+        """
+        self._commit_report(skill_id, report, attempt=1)
+        if report.verdict == "pass":
+            return None
+        return self.harness.repair_loop(
+            package,
+            skill_id,
+            report,
+            budget=self.config.repair_attempts,
+            gateway=self.gateway,
+            registry=self.registry,
+            cycle=self.state.cycle_index,
+            config=self._sandbox_config(),
+            promote=False,
+        )
+
+    def _run_layers(self, package, skill_id: str) -> tuple[SyntheticReport, TestReport | None]:
+        """Synthetic, then system when it applies and synthetic was clean."""
         synthetic = self.harness.synthetic_test(
             package, skill_id, SyntheticFixtures(), attempt=1
         )
+        system = None
+        if synthetic.clean and needs_scheduler(package):
+            system = self.harness.system_test(package, skill_id, SchedulerAdapter(), attempt=1)
+        return synthetic, system
+
+    def _judge_layers(
+        self, skill_id: str, synthetic: SyntheticReport, system: TestReport | None
+    ) -> str | None:
+        """The flag reason from the layer runs, or None; commits the system record."""
         if not synthetic.clean:
             if synthetic.error:
                 return f"synthetic error: {synthetic.error}"
@@ -524,23 +561,26 @@ class Pipeline:
             if synthetic.coverage_gaps:
                 return f"coverage gaps: {', '.join(synthetic.coverage_gaps)}"
             return f"missing outputs: {', '.join(synthetic.missing_outputs)}"
-        if needs_scheduler(package):
-            report = self.harness.system_test(package, skill_id, SchedulerAdapter(), attempt=1)
-            self.registry.set_verification(
-                skill_id,
-                VerificationRecord(
-                    skill_id=skill_id,
-                    layer="system",
-                    outcome=report.verdict if report.verdict in ("pass", "fail") else "error",
-                    attempt=len(self.registry.verifications(skill_id, "system")) + 1,
-                    report_locator=report.report_locator,
-                    cycle=self.state.cycle_index,
-                ),
-                promote=False,
-            )
-            if report.verdict != "pass":
+        if system is not None:
+            attempt = len(self.registry.verifications(skill_id, "system")) + 1
+            self._commit_report(skill_id, system, attempt)
+            if system.verdict != "pass":
                 return "system test failure"
         return None
+
+    def _commit_report(self, skill_id: str, report: TestReport, attempt: int) -> None:
+        self.registry.set_verification(
+            skill_id,
+            VerificationRecord(
+                skill_id=skill_id,
+                layer=report.layer,
+                outcome=report.verdict if report.verdict in ("pass", "fail") else "error",
+                attempt=attempt,
+                report_locator=report.report_locator,
+                cycle=self.state.cycle_index,
+            ),
+            promote=False,
+        )
 
     def _stage_refresh(self, focus_branch: str | None) -> tuple[str, str]:
         del focus_branch
@@ -855,32 +895,10 @@ class Pipeline:
         steps.append(f"skill_build {skill_id}")
 
         report = self.harness.execution_test(package, skill_id, self._sandbox_config(), attempt=1)
-        self.registry.set_verification(
-            skill_id,
-            VerificationRecord(
-                skill_id=skill_id,
-                layer="execution",
-                outcome=report.verdict if report.verdict in ("pass", "fail") else "error",
-                attempt=1,
-                report_locator=report.report_locator,
-                cycle=cycle,
-            ),
-            promote=False,
-        )
-        if report.verdict != "pass":
-            outcome = self.harness.repair_loop(
-                package,
-                skill_id,
-                report,
-                budget=self.config.repair_attempts,
-                gateway=self.gateway,
-                registry=self.registry,
-                cycle=cycle,
-                config=self._sandbox_config(),
-                promote=False,
-            )
-            steps.append(f"skill_test repair attempts={outcome.attempts}")
-            if outcome.outcome == "removed":
+        repair = self._commit_and_repair(package, skill_id, report)
+        if repair is not None:
+            steps.append(f"skill_test repair attempts={repair.attempts}")
+            if repair.outcome == "removed":
                 design = DesignReport(
                     task_prompt=task_prompt,
                     skill_id=skill_id,

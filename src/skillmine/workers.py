@@ -26,7 +26,7 @@ from .errors import (
     WorkerError,
 )
 from .gateway import validate_response
-from .harness import load_benchmark_cases
+from .harness import load_benchmark_cases, validation_pool
 from .pipeline import Pipeline, leaf_key, leaf_slug_path
 from .registry import VerificationRecord
 from .util import (
@@ -460,9 +460,13 @@ def load_checkpoint(pipeline: Pipeline, campaign_id: str) -> CampaignCheckpoint:
 
 
 def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
-    """Batched layer-2 evaluation over pending skills."""
+    """Batched layer-2 evaluation over pending skills.
+
+    The batch's benchmark runs go to the validation pool; their records and
+    any optimization (which calls the gateway) are committed here in batch
+    order.
+    """
     from . import contracts as contractsmod
-    from .harness import DEFAULT_ADVANTAGE_THRESHOLD
 
     pending = sorted(pipeline.state.pending_skills)
     batch = pending[:batch_size]
@@ -470,48 +474,58 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
     if not batch:
         return {"kind": "evaluation", "evaluated": [], "outcomes": {}, "note": "no pending skills"}
 
-    threshold = pipeline.config.advantage_threshold or DEFAULT_ADVANTAGE_THRESHOLD
+    threshold = pipeline.config.advantage_threshold
     statuses = {skill_id: pipeline.registry.skill(skill_id).status for skill_id in batch}
-    for skill_id in batch:
-        entry = pipeline.registry.skill(skill_id)
-        if entry.status != "verified":
-            outcomes[skill_id] = f"skipped: status={entry.status}"
-            continue
-        case_path = pipeline.root / entry.package_path / "tests" / "benchmark.json"
-        if not case_path.exists():
-            outcomes[skill_id] = "no-cases"
-            continue
-        cases = load_benchmark_cases(case_path)
-        package = contractsmod.load_package(pipeline.root / entry.package_path)
-        report = pipeline.harness.benchmark_compare(package, cases, skill_id)
-        attempt = len(pipeline.registry.verifications(skill_id, "benchmark")) + 1
-        pipeline.registry.set_verification(
-            skill_id,
-            VerificationRecord(
-                skill_id=skill_id,
-                layer="benchmark",
-                outcome="pass" if not report.is_weak(threshold) else "fail",
-                attempt=attempt,
-                report_locator="",
-                cycle=pipeline.state.cycle_index,
-            ),
-            promote=False,
-        )
-        if report.is_weak(threshold):
-            outcome = pipeline.harness.optimize_loop(
-                package,
+    roots = {
+        skill_id: pipeline.root / pipeline.registry.skill(skill_id).package_path
+        for skill_id in batch
+        if statuses[skill_id] == "verified"
+    }
+    runnable = [s for s, root in roots.items() if (root / "tests" / "benchmark.json").exists()]
+
+    def benchmark(skill_id: str):
+        cases = load_benchmark_cases(roots[skill_id] / "tests" / "benchmark.json")
+        package = contractsmod.load_package(roots[skill_id])
+        return package, cases, pipeline.harness.benchmark_compare(package, cases, skill_id)
+
+    with validation_pool(len(runnable)) as pool:
+        runs = {skill_id: pool.submit(benchmark, skill_id) for skill_id in runnable}
+        for skill_id in batch:
+            if statuses[skill_id] != "verified":
+                outcomes[skill_id] = f"skipped: status={statuses[skill_id]}"
+                continue
+            if skill_id not in runs:
+                outcomes[skill_id] = "no-cases"
+                continue
+            package, cases, report = runs[skill_id].result()
+            attempt = len(pipeline.registry.verifications(skill_id, "benchmark")) + 1
+            pipeline.registry.set_verification(
                 skill_id,
-                report,
-                budget=pipeline.config.optimize_attempts,
-                gateway=pipeline.gateway,
-                cases=cases,
-                registry=pipeline.registry,
-                cycle=pipeline.state.cycle_index,
-                threshold=threshold,
+                VerificationRecord(
+                    skill_id=skill_id,
+                    layer="benchmark",
+                    outcome="pass" if not report.is_weak(threshold) else "fail",
+                    attempt=attempt,
+                    report_locator="",
+                    cycle=pipeline.state.cycle_index,
+                ),
+                promote=False,
             )
-            outcomes[skill_id] = outcome.outcome
-        else:
-            outcomes[skill_id] = f"advantage margin={report.margin:.4f}"
+            if report.is_weak(threshold):
+                outcome = pipeline.harness.optimize_loop(
+                    package,
+                    skill_id,
+                    report,
+                    budget=pipeline.config.optimize_attempts,
+                    gateway=pipeline.gateway,
+                    cases=cases,
+                    registry=pipeline.registry,
+                    cycle=pipeline.state.cycle_index,
+                    threshold=threshold,
+                )
+                outcomes[skill_id] = outcome.outcome
+            else:
+                outcomes[skill_id] = f"advantage margin={report.margin:.4f}"
 
     # optimize_loop can move a skill from verified to review outside refresh.
     if any(pipeline.registry.skill(s).status != status for s, status in statuses.items()):

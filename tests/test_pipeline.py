@@ -4,22 +4,29 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import threading
 
 import pytest
 
+from skillmine import harness as harnessmod
 from skillmine import tree as treemod
 from skillmine.contracts import SkillContract, compile_package
 from skillmine.errors import OutOfOrderStageError, RefreshAbortedError
+from skillmine.harness import ValidationHarness
 from skillmine.pipeline import STAGE_ORDER, Pipeline
 from skillmine.registry import Registry, SkillEntry
 from skillmine.util import digest_dir
 from skillmine.workers import state_digest
 
-from conftest import FAILING_SMOKE, make_engine, write_mock
+from conftest import FAILING_SMOKE, SLOW_SMOKE, make_engine, write_mock
 
 GENOMICS = "science/genomics"
 ALIGN_LEAF = "science/genomics/alignment/short-read-alignment"
 ANNOTATE_LEAF = "science/genomics/annotation/cell-type-annotation"
+ALIGN_ID = "short-read-alignment-align-short-reads"
+ANNOTATE_ID = "cell-type-annotation-annotate-cell-types"
+ALIGN_BUILD = "skill_build__science--genomics--alignment--short-read-alignment__1.json"
 
 
 @pytest.fixture
@@ -262,6 +269,60 @@ def test_failing_candidates_still_reach_refresh(tmp_path, campaign_script):
     node = engine.tree.node(treemod.parse_path(ALIGN_LEAF))
     outcomes = [o for _s, o, _c in node.recent_verifications]
     assert "fail" in outcomes
+
+
+def test_a_hung_candidate_costs_only_itself(tmp_path, campaign_script):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    candidate = json.loads((script / ALIGN_BUILD).read_text())
+    candidate["candidates"][0]["artifacts"]["tests/smoke.py"] = SLOW_SMOKE
+    (script / ALIGN_BUILD).write_text(json.dumps(candidate))
+    # One execution attempt and no repair, so the hung run is all the align
+    # skill gets.
+    engine = make_engine(tmp_path / "library", script, smoke_timeout=2.0, repair_attempts=1)
+    report = engine.run_cycle(focus_branch=GENOMICS)
+
+    assert report.skills_created == sorted([ALIGN_ID, ANNOTATE_ID])
+    assert report.skills_removed == [ALIGN_ID]
+    assert report.skills_verified == [ANNOTATE_ID]
+    [hung] = engine.registry.verifications(ALIGN_ID, "execution")
+    assert hung.outcome == "fail"
+    attempt = json.loads((engine.root / hung.report_locator).read_text())
+    assert attempt["exit_status"] is None  # killed at the timeout
+    assert [v.outcome for v in engine.registry.verifications(ANNOTATE_ID, "execution")] == ["pass"]
+
+
+def test_a_raising_validation_task_raises_after_the_serial_commits(
+    tmp_path, campaign_script, monkeypatch
+):
+    original = ValidationHarness.synthetic_test
+
+    def synthetic_test(self, package, skill_id, *args, **kwargs):
+        if skill_id == ALIGN_ID:
+            raise RuntimeError("synthetic layer crashed")
+        return original(self, package, skill_id, *args, **kwargs)
+
+    monkeypatch.setattr(ValidationHarness, "synthetic_test", synthetic_test)
+    logs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(harnessmod, "available_cpus", lambda n=workers: n)
+        engine = make_engine(tmp_path / f"workers-{workers}", campaign_script)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="synthetic layer crashed"):
+            engine.run_cycle(focus_branch=GENOMICS)
+        assert threading.active_count() == threads
+        assert engine.state.stage_cursor is None
+        logs.append(
+            {
+                name: (engine.root / name).read_bytes()
+                for name in ("skills.ndjson", "resources.ndjson", "verifications.ndjson")
+            }
+        )
+    assert logs[0] == logs[1]
+    # The align skill is built first: its execution record is committed
+    # before its layer error is raised, and nothing after it is.
+    records = [json.loads(line) for line in logs[0]["verifications.ndjson"].splitlines()]
+    assert [(r["skill_id"], r["layer"]) for r in records] == [(ALIGN_ID, "execution")]
 
 
 def test_two_runs_from_same_seed_are_byte_identical(tmp_path, campaign_script):

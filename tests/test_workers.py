@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from skillmine import harness as harnessmod
 from skillmine import tree as treemod
 from skillmine.errors import (
     DigestMismatchError,
@@ -30,7 +31,7 @@ from skillmine.workers import (
     state_digest,
 )
 
-from conftest import make_engine, write_mock
+from conftest import FIXTURES, make_engine, write_mock
 
 GENOMICS = "science/genomics"
 IMAGING = "science/imaging"
@@ -349,6 +350,62 @@ def test_evaluation_that_demotes_a_skill_recompacts_the_stats(tmp_path, campaign
     assert report.evaluation_phases[0]["outcomes"]["short-read-alignment-align-short-reads"] == "review"
     stats = json.loads((engine.root / "index" / "stats.json").read_text())
     assert stats == engine.registry.snapshot_stats(engine.tree).to_record()
+
+
+def test_configured_zero_advantage_threshold_is_used_as_given(tmp_path, campaign_script):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    build = script / "skill_build__science--genomics--alignment--short-read-alignment__1.json"
+    document = json.loads(build.read_text())
+    # Both arms score 0.5: a zero margin, weak only under a positive threshold.
+    document["candidates"][0]["artifacts"]["scripts/score.py"] = 'print("0.5")\n'
+    build.write_text(json.dumps(document))
+    write_mock(
+        script,
+        "layer2_optimize",
+        "short-read-alignment-align-short-reads",
+        1,
+        {"actions": [], "rebenchmark": True},
+    )
+    engine = make_engine(tmp_path / "library", script, advantage_threshold=0.0)
+    report = run_campaign(engine, CampaignConfig(campaign_id="zero", branch_schedule=(GENOMICS,)))
+    outcome = report.evaluation_phases[0]["outcomes"]["short-read-alignment-align-short-reads"]
+    assert outcome == "advantage margin=0.0000"
+    [record] = engine.registry.verifications("short-read-alignment-align-short-reads", "benchmark")
+    assert record.outcome == "pass"
+    assert engine.registry.skill("short-read-alignment-align-short-reads").status == "verified"
+
+
+def test_campaign_library_is_the_same_with_one_or_four_validation_workers(
+    tmp_path, campaign_script, monkeypatch
+):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from skillmine.site import export_site
+    from skillmine.util import digest_dir
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harnessmod, "ThreadPoolExecutor", RecordingPool)
+    digests = []
+    for workers in (1, 4):
+        sizes: list[int] = []
+        monkeypatch.setattr(harnessmod, "available_cpus", lambda n=workers: n)
+        root = tmp_path / f"workers-{workers}" / "library"
+        engine = make_engine(root, campaign_script, catalogs=(FIXTURES / "catalog_hub.ndjson",))
+        config = CampaignConfig(
+            campaign_id="acceptance", branch_schedule=(GENOMICS, IMAGING), cycles_per_branch=2
+        )
+        assert run_campaign(engine, config).status == "completed"
+        export_site(engine.registry, engine.tree, root / "site")
+        digests.append(
+            (digest_dir(root, exclude=("LOCK", "workspaces", "sandbox")), digest_dir(root / "site"))
+        )
+        assert max(sizes) == min(workers, 2)  # two candidates in a genomics cycle
+    assert digests[0] == digests[1]
 
 
 def test_campaign_halts_after_consecutive_failures(tmp_path, campaign_script):
