@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import tree as treemod
 from .contracts import SkillContract, parse_contract
@@ -191,6 +191,7 @@ def search_catalogs(
     candidate_task_text: str = "",
     scope_keywords: KeywordSet | None = None,
     candidate_scope_text: str = "",
+    skip: Callable[[CatalogEntry], bool] | None = None,
 ) -> list[CatalogMatch]:
     """Classify the entries that can overlap the candidate; return the top matches.
 
@@ -201,6 +202,10 @@ def search_catalogs(
     needs a shared term, and every term of an entry, unigram or bigram, is
     made of the entry's own unigrams. Equal normalized task texts have equal
     unigram sets; when those are empty the entry is one with no unigram.
+
+    An entry for which ``skip`` is true is passed over before classification
+    and before the cut, so the result equals searching the catalogs with
+    those entries left out.
     """
     query = {part for term in keywords.terms for part in term.split()}
     query.update(_content_tokens(candidate_task_text))
@@ -209,6 +214,8 @@ def search_catalogs(
         catalog = catalogs[catalog_id]
         index = catalog if isinstance(catalog, CatalogIndex) else CatalogIndex(catalog)
         for entry in index.sharing(query):
+            if skip is not None and skip(entry):
+                continue
             overlap, score = classify_entry(
                 entry, keywords, candidate_task_text, scope_keywords, candidate_scope_text
             )
@@ -430,6 +437,11 @@ def local_catalog_entries(
     every call, because repair edits rewrite it in place, and an edit can
     keep its size and its timestamp. Entries of skills no longer in the
     catalog are dropped.
+
+    A pipeline calls this once per commit, not once per review: no review
+    or verdict writes a ``skill.json``, so every review in one commit would
+    read the same bytes. Its reviews search one index over these entries and
+    skip the candidate and any skill a verdict has removed since.
     """
     if texts is None:
         texts = {}

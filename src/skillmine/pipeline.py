@@ -1,10 +1,15 @@
 """The cycle controller: tree_check -> resource_search -> skill_build ->
 skill_test -> refresh, plus prompt-driven single-skill design.
 
-Stages 1-4 only append to the record logs; refresh is the sole committer of
-the tree snapshot, compacted indexes, and site summaries, under the writer
-lock. Any stage error aborts the cycle before refresh, leaving shared state
-digest-identical except for the append-only logs.
+Stages 1-4 append to the record logs, and they write files of their own:
+skill_build compiles candidate packages into ``skills/`` and skill_test writes
+verification reports under ``reports/verifications/``. Only refresh, and a
+design commit, write the tree snapshot (``tree.snapshot``), the compacted
+indexes (``index/``) and the ``site/.stale`` marker, under the writer lock.
+A stage error aborts the cycle before refresh and leaves those untouched
+(``test_aborted_cycle_leaves_committed_state_untouched`` and
+``test_stages_one_to_four_never_mutate_committed_state`` pin this); the
+packages and reports it wrote stay.
 """
 
 from __future__ import annotations
@@ -593,8 +598,9 @@ class Pipeline:
                 tree = treemod.link_resource(tree, treemod.parse_path(leaf), resource_id)
 
             verdicts: dict[str, str] = {}
+            local = self._local_index() if scratch.passed else None
             for skill_id in sorted(scratch.passed):
-                verdict = self._adjudicate(skill_id)
+                verdict = self._adjudicate(skill_id, local)
                 tree = noveltymod.apply_verdict(tree, self.registry, verdict, cycle)
                 verdicts[skill_id] = verdict.decision
 
@@ -703,7 +709,20 @@ class Pipeline:
             elif status in ("untested", "repaired"):
                 self.registry.transition_skill(skill_id, "removed", cycle)
 
-    def _adjudicate(self, skill_id: str) -> noveltymod.NoveltyVerdict:
+    def _local_index(self) -> noveltymod.CatalogIndex:
+        """An index over the local library, built once per commit and dropped with it."""
+        return noveltymod.CatalogIndex(
+            noveltymod.local_catalog_entries(self.registry, self.root, self._local_texts)
+        )
+
+    def _adjudicate(
+        self, skill_id: str, local: noveltymod.CatalogIndex | None = None
+    ) -> noveltymod.NoveltyVerdict:
+        """Review one candidate against ``local``, else against a fresh read.
+
+        ``local`` may predate verdicts of the same commit, so the search skips
+        the candidate itself and every skill that a verdict has since removed.
+        """
         entry = self.registry.skill(skill_id)
         package = contractsmod.load_package(self.root / entry.package_path)
         contract = package.contract()
@@ -719,18 +738,22 @@ class Pipeline:
                 catalog_id: noveltymod.CatalogIndex(entries)
                 for catalog_id, entries in self.external_catalogs().items()
             }
-        local_entries = [
-            e
-            for e in noveltymod.local_catalog_entries(self.registry, self.root, self._local_texts)
-            if e.entry_ref != skill_id
-        ]
+        if local is None:
+            local = self._local_index()
+
+        def skip(e: noveltymod.CatalogEntry) -> bool:
+            return e.catalog_id == "local" and (
+                e.entry_ref == skill_id or self.registry.skill(e.entry_ref).status == "removed"
+            )
+
         matches = noveltymod.search_catalogs(
-            {"local": local_entries, **self._external_index},
+            {"local": local, **self._external_index},
             keywords,
             limit=self.config.novelty_match_limit,
             candidate_task_text=contract.task_scope,
             scope_keywords=scope_keywords,
             candidate_scope_text=scope_text,
+            skip=skip,
         )
         provider_response: StageResponse | None = None
         if self.config.novelty_provider:

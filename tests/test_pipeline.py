@@ -10,16 +10,17 @@ import threading
 import pytest
 
 from skillmine import harness as harnessmod
+from skillmine import novelty as noveltymod
 from skillmine import tree as treemod
-from skillmine.contracts import SkillContract, compile_package
+from skillmine.contracts import SkillContract, compile_package, load_package
 from skillmine.errors import OutOfOrderStageError, RefreshAbortedError
 from skillmine.harness import ValidationHarness
 from skillmine.pipeline import STAGE_ORDER, Pipeline
-from skillmine.registry import Registry, SkillEntry
+from skillmine.registry import Registry, SkillEntry, VerificationRecord
 from skillmine.util import digest_dir
 from skillmine.workers import state_digest
 
-from conftest import FAILING_SMOKE, SLOW_SMOKE, make_engine, write_mock
+from conftest import FAILING_SMOKE, FIXTURES, SLOW_SMOKE, make_engine, write_mock
 
 GENOMICS = "science/genomics"
 ALIGN_LEAF = "science/genomics/alignment/short-read-alignment"
@@ -549,3 +550,87 @@ def test_review_sees_library_changes_between_calls(engine):
         assert engine._adjudicate(skill_id) == fresh._adjudicate(skill_id)
     assert engine._adjudicate("beta").decision == "redundant"
     assert engine._adjudicate("delta").supporting_matches[0].entry_ref == "epsilon"
+
+
+PLOT = "Plot cell clusters on a grid"
+ALIGN = "Align short reads to genomes"
+PERIODS = "Estimate rotation periods from stellar brightness lightcurves"
+PERIODS_SCOPE = "Fit generalized Lomb-Scargle periodograms with bootstrap uncertainty bands"
+
+
+def refresh_mixed_candidates(root, script):
+    """One refresh over four candidates: two twins (same task and scope), one
+    that merges into a local skill, one redundant with a catalog entry."""
+    engine = make_engine(root, script, catalogs=(FIXTURES / "catalog_hub.ndjson",))
+    add_skill(engine, "library-plot", PLOT, ("draw the grid",))
+    add_skill(engine, "twin-a", ALIGN, ("index then align",))
+    add_skill(engine, "twin-b", ALIGN, ("index then align",))
+    add_skill(engine, "plot-merge", PLOT, ("colour each cluster",))
+    add_skill(engine, "period-copy", PERIODS, (PERIODS_SCOPE,))
+    passed = ["twin-a", "twin-b", "plot-merge", "period-copy"]
+    for skill_id in passed:
+        record = VerificationRecord(skill_id, "execution", "pass", attempt=1)
+        engine.registry.set_verification(skill_id, record, promote=False)
+    engine._scratch.passed = passed
+    engine.state.stage_cursor = "skill_test"
+    engine.run_stage("refresh")
+    return engine
+
+
+def reference_adjudicate(self, skill_id, local=None):
+    """The review with a fresh read of the library before it."""
+    del local
+    contract = load_package(self.root / self.registry.skill(skill_id).package_path).contract()
+    scope_text = noveltymod.candidate_scope_text(contract)
+    local_entries = [
+        e
+        for e in noveltymod.local_catalog_entries(self.registry, self.root)
+        if e.entry_ref != skill_id
+    ]
+    matches = noveltymod.search_catalogs(
+        {"local": local_entries, **self.external_catalogs()},
+        noveltymod.derive_keywords(contract),
+        limit=self.config.novelty_match_limit,
+        candidate_task_text=contract.task_scope,
+        scope_keywords=noveltymod.keywords_from_text(scope_text),
+        candidate_scope_text=scope_text,
+    )
+    return noveltymod.adjudicate(contract, matches, skill_id=skill_id)
+
+
+def test_one_snapshot_refresh_equals_a_fresh_read_per_review(
+    tmp_path, campaign_script, monkeypatch
+):
+    engine = refresh_mixed_candidates(tmp_path / "snapshot", campaign_script)
+    with monkeypatch.context() as patch:
+        patch.setattr(Pipeline, "_adjudicate", reference_adjudicate)
+        reference = refresh_mixed_candidates(tmp_path / "reference", campaign_script)
+
+    assert engine._last_verdicts == reference._last_verdicts == {
+        "period-copy": "redundant",
+        "plot-merge": "merge",
+        "twin-a": "redundant",
+        "twin-b": "novel",
+    }
+    assert engine.registry.skill("plot-merge").merged_into == "library-plot"
+    for name in ("skills.ndjson", "tree.snapshot"):
+        assert (engine.root / name).read_bytes() == (reference.root / name).read_bytes()
+
+
+def test_a_refresh_reads_the_library_once(tmp_path, campaign_script, monkeypatch):
+    calls = []
+    read = noveltymod.local_catalog_entries
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(noveltymod, "local_catalog_entries", counted)
+    refresh_mixed_candidates(tmp_path / "mixed", campaign_script)
+    assert len(calls) == 1
+
+    calls.clear()
+    engine = make_engine(tmp_path / "empty", campaign_script)
+    engine.state.stage_cursor = "skill_test"
+    engine.run_stage("refresh")
+    assert calls == []
