@@ -94,12 +94,23 @@ class SkillPackage:
         return load_contract(self.root_path / self.metadata_document)
 
 
+_UNQUOTED_SPACE = re.compile(r"[ \t\r\n]+")
+
+
 def tokenize_command(command: str) -> list[str]:
-    """Quoted-token splitting; no shell, no interpolation."""
-    try:
-        argv = shlex.split(command, posix=True)
-    except ValueError as exc:
-        raise MalformedInvocationError(f"unparseable command {command!r}: {exc}") from None
+    """Quoted-token splitting; no shell, no interpolation.
+
+    A command with no quote and no backslash is split at runs of the four
+    characters ``shlex`` treats as whitespace, which gives ``shlex.split``'s
+    tokens without its per-character state machine.
+    """
+    if "'" in command or '"' in command or "\\" in command:
+        try:
+            argv = shlex.split(command, posix=True)
+        except ValueError as exc:
+            raise MalformedInvocationError(f"unparseable command {command!r}: {exc}") from None
+    else:
+        argv = [part for part in _UNQUOTED_SPACE.split(command) if part]
     if not argv:
         raise MalformedInvocationError(f"empty command: {command!r}")
     return argv

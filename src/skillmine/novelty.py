@@ -12,15 +12,15 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import tree as treemod
 from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
 from .registry import Registry
-from .util import read_bytes_at
 
 SAME_TASK_JACCARD = 0.6
 SAME_SCOPE_JACCARD = 0.6
@@ -158,20 +158,57 @@ class CatalogIndex:
     Only unigrams are indexed: a map over every term, or a cached keyword set
     per entry, costs about ten times the memory on a 20,000-entry catalog.
     Positions keep the catalog's order, so a search visits entries in the
-    order a scan would. ``unindexed`` lists the entries whose task text has
-    no unigram at all.
+    order a scan would, until ``update`` appends entries out of that order.
+    ``unindexed`` lists the entries whose task text has no unigram at all.
     """
 
     def __init__(self, entries: Sequence[CatalogEntry]):
-        self.entries = tuple(entries)
+        self.entries: list[CatalogEntry] = []
         self.postings: dict[str, list[int]] = {}
         self.unindexed: list[int] = []
-        for position, entry in enumerate(self.entries):
-            unigrams = set(_content_tokens(entry.task_description))
-            if not unigrams:
-                self.unindexed.append(position)
-            for term in unigrams:
-                self.postings.setdefault(term, []).append(position)
+        for entry in entries:
+            self._append(entry)
+
+    def _append(self, entry: CatalogEntry) -> None:
+        position = len(self.entries)
+        self.entries.append(entry)
+        unigrams = set(_content_tokens(entry.task_description))
+        if not unigrams:
+            self.unindexed.append(position)
+        for term in unigrams:
+            self.postings.setdefault(term, []).append(position)
+
+    def update(self, entries: Sequence[CatalogEntry]) -> bool:
+        """Bring the index to ``entries`` in place; False, untouched, if it cannot.
+
+        It can when refs are unique and every indexed entry is still there
+        under its ``entry_ref`` with the same task text: those entries are
+        swapped in place, as postings depend on task texts only, and entries
+        with new refs are appended. Positions then differ from
+        ``CatalogIndex(entries)``, but search results do not: matches are
+        sorted on score, catalog and ref, and the refs are unique.
+        """
+        positions = {entry.entry_ref: p for p, entry in enumerate(self.entries)}
+        if len(positions) != len(self.entries):
+            return False
+        if len({entry.entry_ref for entry in entries}) != len(entries):
+            return False
+        added = 0
+        for entry in entries:
+            position = positions.get(entry.entry_ref)
+            if position is None:
+                added += 1
+            elif self.entries[position].task_description != entry.task_description:
+                return False
+        if len(entries) - added != len(self.entries):
+            return False  # an indexed entry is gone
+        for entry in entries:
+            position = positions.get(entry.entry_ref)
+            if position is None:
+                self._append(entry)
+            else:
+                self.entries[position] = entry
+        return True
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -424,45 +461,90 @@ def _contract_texts(data: bytes) -> tuple[str, str] | None:
     return contract.task_scope, candidate_scope_text(contract)
 
 
+class LocalText(NamedTuple):
+    """What ``local_catalog_entries`` keeps of one skill's ``skill.json``."""
+
+    package_path: str
+    path: str
+    key: tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
+    trusted: bool  # the key may stand for the bytes without a read
+    digest: bytes
+    texts: tuple[str, str] | None
+
+
+# Where a probe file is made to read the filesystem's clock; the state
+# digest excludes it.
+PROBE_DIR = "sandbox"
+
+
+def filesystem_time(directory: str) -> int | None:
+    """The ctime of a probe file made and removed in ``directory``: a
+    timestamp of that filesystem's clock, or None when no probe can be made."""
+    try:
+        fd, name = tempfile.mkstemp(dir=directory, prefix=".probe-")
+    except OSError:
+        return None
+    try:
+        return os.fstat(fd).st_ctime_ns
+    finally:
+        os.close(fd)
+        os.unlink(name)
+
+
 def local_catalog_entries(
     registry: Registry,
     packages_root: Path,
-    texts: dict[str, tuple[bytes, tuple[str, str] | None]] | None = None,
+    texts: dict[str, LocalText] | None = None,
 ) -> list[CatalogEntry]:
     """Expose the local library through the catalog view.
 
-    ``texts`` caches, per skill id, the digest of its ``skill.json`` bytes
-    with the texts derived from them; a caller that keeps it across calls
-    re-parses only files whose bytes changed. The file is read and hashed on
-    every call, because repair edits rewrite it in place, and an edit can
-    keep its size and its timestamp. Entries of skills no longer in the
-    catalog are dropped.
+    ``texts`` caches, per skill id, the texts derived from its ``skill.json``
+    with the digest of the bytes they came from and the file's stat key
+    ``(st_ino, st_size, st_mtime_ns, st_ctime_ns)``. A caller that keeps it
+    across calls has each file stat-ed, and read only when its key changed or
+    cannot be trusted; a file whose bytes are unchanged is not re-parsed.
+    Entries of skills no longer in the catalog are dropped.
+
+    A key is trusted only when its mtime and ctime are strictly older than
+    a filesystem timestamp taken before the ``fstat`` that recorded it (git's
+    racy-git rule). ctime moves on every write and every ``utime``, and a
+    replaced file has a new inode, so a trusted key that still matches means
+    the bytes are the ones read; an edit in the same clock tick as the read
+    would keep the key, which is why such keys are not trusted. The timestamp
+    is the ctime of a probe file in the library's ``sandbox/``; without that
+    directory nothing is trusted and every file is read.
 
     A pipeline calls this once per commit, not once per review: no review
     or verdict writes a ``skill.json``, so every review in one commit would
     read the same bytes. Its reviews search one index over these entries and
     skip the candidate and any skill a verdict has removed since.
     """
+    top = os.fspath(packages_root)
+    fence = None
     if texts is None:
         texts = {}
-    top = os.fspath(packages_root)
+    elif os.path.isdir(probe_dir := os.path.join(top, PROBE_DIR)):
+        fence = filesystem_time(probe_dir)
     entries: list[CatalogEntry] = []
     for skill in registry.skills():
         if skill.status in ("removed",):
             continue
         task_text = skill.name
         scope_text = ""
-        try:
-            data = read_bytes_at(top, os.path.join(skill.package_path, "skill.json"))
-        except OSError:
-            data = None
-        if data is not None:
-            digest = hashlib.sha256(data).digest()
-            cached = texts.get(skill.id)
-            if cached is None or cached[0] != digest:
-                cached = texts[skill.id] = (digest, _contract_texts(data))
-            if cached[1] is not None:
-                task_text, scope_text = cached[1]
+        cached = texts.get(skill.id)
+        if (
+            cached is None
+            or not cached.trusted
+            or cached.package_path != skill.package_path
+            or _stat_key(cached.path) != cached.key
+        ):
+            cached = _read_local_text(top, skill.package_path, cached, fence)
+            if cached is None:
+                texts.pop(skill.id, None)
+            else:
+                texts[skill.id] = cached
+        if cached is not None and cached.texts is not None:
+            task_text, scope_text = cached.texts
         entries.append(
             CatalogEntry(
                 catalog_id="local",
@@ -476,6 +558,41 @@ def local_catalog_entries(
     for gone in texts.keys() - {entry.entry_ref for entry in entries}:
         del texts[gone]
     return entries
+
+
+def _key(stat: os.stat_result) -> tuple[int, int, int, int]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
+
+
+def _stat_key(path: str) -> tuple[int, int, int, int] | None:
+    try:
+        return _key(os.stat(path))
+    except OSError:
+        return None
+
+
+def _read_local_text(
+    top: str, package_path: str, cached: LocalText | None, fence: int | None
+) -> LocalText | None:
+    """Read one package's ``skill.json``; None when it is unreadable.
+
+    The key comes from the open file before the read, and is trusted only
+    when its times are strictly older than ``fence``.
+    """
+    path = os.path.join(top, package_path, "skill.json")
+    try:
+        with open(path, "rb") as handle:
+            key = _key(os.fstat(handle.fileno()))
+            data = handle.read()
+    except OSError:
+        return None
+    digest = hashlib.sha256(data).digest()
+    if cached is not None and cached.digest == digest:
+        parsed = cached.texts
+    else:
+        parsed = _contract_texts(data)
+    trusted = fence is not None and key[2] < fence and key[3] < fence
+    return LocalText(package_path, path, key, trusted, digest, parsed)
 
 
 def candidate_scope_text(contract: SkillContract) -> str:

@@ -208,10 +208,11 @@ class Pipeline:
         self._scratch = _CycleScratch()
         self._external_catalogs: dict[str, list[noveltymod.CatalogEntry]] | None = None
         # Novelty inputs kept for the life of the pipeline: the external
-        # catalogs' index, built at the first review, and the local skills'
-        # texts keyed on their skill.json bytes.
+        # catalogs' index, built at the first review, the local skills'
+        # texts keyed on their skill.json files, and the local index.
         self._external_index: dict[str, noveltymod.CatalogIndex] | None = None
-        self._local_texts: dict[str, tuple[bytes, tuple[str, str] | None]] = {}
+        self._local_texts: dict[str, noveltymod.LocalText] = {}
+        self._local: noveltymod.CatalogIndex | None = None
         self._last_verdicts: dict[str, str] = {}
         self._last_tree_edits: list[str] = []
 
@@ -710,10 +711,15 @@ class Pipeline:
                 self.registry.transition_skill(skill_id, "removed", cycle)
 
     def _local_index(self) -> noveltymod.CatalogIndex:
-        """An index over the local library, built once per commit and dropped with it."""
-        return noveltymod.CatalogIndex(
-            noveltymod.local_catalog_entries(self.registry, self.root, self._local_texts)
-        )
+        """The index over the local library, brought up to date once per commit.
+
+        It is kept across commits: a commit that changed only scopes or
+        added skills updates it in place, and any other change rebuilds it.
+        """
+        entries = noveltymod.local_catalog_entries(self.registry, self.root, self._local_texts)
+        if self._local is None or not self._local.update(entries):
+            self._local = noveltymod.CatalogIndex(entries)
+        return self._local
 
     def _adjudicate(
         self, skill_id: str, local: noveltymod.CatalogIndex | None = None

@@ -317,12 +317,15 @@ class Registry:
         self._verifications: list[VerificationRecord] = []
         # (skill_id, layer) -> that pair's records in log order.
         self._attempts: dict[tuple[str, str], list[VerificationRecord]] = {}
-        # Per index file, record id -> (last rendered to_record(), its fragment).
-        self._rendered: dict[str, dict[str, tuple[dict, str]]] = {
-            "skills.json": {},
-            "resources.json": {},
-        }
-        self._sizes: dict[str, int] = {}
+        # Per index file, record id -> its rendered fragment. Every mutator
+        # drops the fragments of the records it writes and ``_reload`` drops
+        # them all, so the records to render are those without one.
+        self._rendered: dict[str, dict[str, str]] = {"skills.json": {}, "resources.json": {}}
+        # tree.snapshot fragments: node path -> (the node rendered, its fragment).
+        self._tree_fragments: dict[treemod.NodePath, tuple[treemod.TreeNode, str]] = {}
+        self._leaf_paths: dict[str, treemod.NodePath] = {}
+        # Per log, (st_ino, st_size, st_mtime_ns) as last read or written here.
+        self._log_keys: dict[str, tuple[int, int, int]] = {}
         self._reload()
 
     # -- loading --------------------------------------------------------------
@@ -330,11 +333,15 @@ class Registry:
     def _read_records(self, name: str) -> list[dict]:
         path = self.root / name
         records: list[dict] = []
-        if not path.exists():
-            self._sizes[name] = 0
+        try:
+            with open(path, "rb") as handle:
+                # The key of the bytes read, taken before the read: a write
+                # racing the read then differs from it at the next resync.
+                self._log_keys[name] = _log_key(os.fstat(handle.fileno()))
+                data = handle.read()
+        except FileNotFoundError:
+            self._log_keys.pop(name, None)
             return records
-        data = path.read_bytes()
-        self._sizes[name] = len(data)
         text = data.decode("utf-8")
         # Records end at "\n" alone: str.splitlines() would also split at
         # U+0085 or U+2028, which canonical_json leaves unescaped in strings.
@@ -353,6 +360,8 @@ class Registry:
         return records
 
     def _reload(self) -> None:
+        for cache in self._rendered.values():
+            cache.clear()
         self._skills.clear()
         self._skill_history.clear()
         self._resources.clear()
@@ -386,10 +395,17 @@ class Registry:
         self._attempts.setdefault((record.skill_id, record.layer), []).append(record)
 
     def _resync_if_stale(self) -> None:
+        """Reload when a log is not the file this registry last read or wrote.
+
+        The key holds the inode, so a same-size replacement by another
+        process shows even when it lands in the same mtime tick.
+        """
         for name in (SKILLS_FILE, RESOURCES_FILE, VERIFICATIONS_FILE):
-            path = self.root / name
-            size = path.stat().st_size if path.exists() else 0
-            if size != self._sizes.get(name, 0):
+            try:
+                key = _log_key(os.stat(self.root / name))
+            except FileNotFoundError:
+                key = None
+            if key != self._log_keys.get(name):
                 self._reload()
                 return
 
@@ -402,7 +418,7 @@ class Registry:
         from .util import atomic_write_bytes
 
         atomic_write_bytes(path, payload)
-        self._sizes[name] = len(payload)
+        self._log_keys[name] = _log_key(os.stat(path))
         return payload.decode("utf-8").count("\n")
 
     # -- accessors -------------------------------------------------------------
@@ -472,6 +488,7 @@ class Registry:
         record = entry.to_record()
         line = self._append(SKILLS_FILE, record)
         self._skills[entry.id] = entry
+        self._rendered["skills.json"].pop(entry.id, None)
         self._skill_history.setdefault(entry.id, []).append(record)
         return line
 
@@ -519,6 +536,7 @@ class Registry:
                 created = False
             line = self._append(RESOURCES_FILE, entry.to_record())
             self._resources[entry.id] = entry
+            self._rendered["resources.json"].pop(entry.id, None)
             self._locator_index[entry.locator] = entry.id
             return Receipt(id=entry.id, created=created, file=RESOURCES_FILE, line=line)
 
@@ -618,9 +636,15 @@ class Registry:
             novel_fraction=fraction,
         )
 
+    def _leaf_path(self, text: str) -> treemod.NodePath:
+        """``parse_path`` of a skill's leaf path, memoised per distinct text."""
+        path = self._leaf_paths.get(text)
+        if path is None:
+            path = self._leaf_paths[text] = treemod.parse_path(text)
+        return path
+
     def _check_leaf_reference(self, entry: SkillEntry, tree: treemod.DomainTree) -> None:
-        path = treemod.parse_path(entry.leaf_path)
-        node = tree.nodes.get(path)
+        node = tree.nodes.get(self._leaf_path(entry.leaf_path))
         if node is None:
             raise InconsistencyError(
                 f"skill {entry.id} references missing leaf {entry.leaf_path}"
@@ -631,57 +655,74 @@ class Registry:
             )
 
     def integrity_check(self, tree: treemod.DomainTree) -> list[str]:
-        """Cross-reference and state-machine scan; violations are data."""
+        """Cross-reference and state-machine scan; violations are data.
+
+        Every skill, node and attempt key is examined; only the offending
+        ids and keys are sorted, so a healthy library costs one pass.
+        """
         violations: list[str] = []
         violations.extend(treemod.check_invariants(tree))
 
-        for entry in self.skills():
-            path = treemod.parse_path(entry.leaf_path)
-            node = tree.nodes.get(path)
+        nodes, attempts = tree.nodes, self._attempts
+        for skill_id in sorted(self._skills):
+            entry = self._skills[skill_id]
+            node = nodes.get(self._leaf_path(entry.leaf_path))
             if node is None:
-                violations.append(f"skill {entry.id} references missing leaf {entry.leaf_path}")
+                violations.append(f"skill {skill_id} references missing leaf {entry.leaf_path}")
             elif node.status == "pruned" and entry.status not in ("deprecated", "removed"):
                 violations.append(
-                    f"skill {entry.id} points at pruned leaf {entry.leaf_path} without deprecation"
+                    f"skill {skill_id} points at pruned leaf {entry.leaf_path} without deprecation"
                 )
-            history = self._skill_history.get(entry.id, [])
+            history = self._skill_history.get(skill_id)
             if history:
-                if history[0]["status"] != "untested":
-                    violations.append(f"skill {entry.id} history does not start at untested")
                 prev = history[0]["status"]
+                if prev != "untested":
+                    violations.append(f"skill {skill_id} history does not start at untested")
                 for record in history[1:]:
                     status = record["status"]
                     if status != prev and status not in LEGAL_TRANSITIONS[prev]:
                         violations.append(
-                            f"skill {entry.id} history contains illegal transition {prev} -> {status}"
+                            f"skill {skill_id} history contains illegal transition {prev} -> {status}"
                         )
                     prev = status
                 if prev != entry.status:
-                    violations.append(f"skill {entry.id} replay mismatch: {prev} != {entry.status}")
-            if entry.status == "verified" and not any(
-                r.outcome == "pass" for r in self._attempts.get((entry.id, "execution"), ())
-            ):
-                violations.append(f"verified skill {entry.id} has no passing execution record")
+                    violations.append(f"skill {skill_id} replay mismatch: {prev} != {entry.status}")
+            if entry.status == "verified":
+                for record in attempts.get((skill_id, "execution"), ()):
+                    if record.outcome == "pass":
+                        break
+                else:
+                    violations.append(f"verified skill {skill_id} has no passing execution record")
 
-        for node in tree.nodes.values():
-            for skill_id in sorted(node.linked_skills):
-                if skill_id not in self._skills:
-                    violations.append(
-                        f"node {treemod.format_path(node.path)} links unknown skill {skill_id}"
-                    )
-            for resource_id in sorted(node.linked_resources):
-                if resource_id not in self._resources:
-                    violations.append(
-                        f"node {treemod.format_path(node.path)} links unknown resource {resource_id}"
-                    )
-
-        for (skill_id, layer), records in sorted(self._attempts.items()):
-            attempts = [r.attempt for r in records]
-            if attempts != list(range(1, len(attempts) + 1)):
+        skills, resources = self._skills, self._resources
+        for node in nodes.values():
+            unknown = [s for s in node.linked_skills if s not in skills]
+            for skill_id in sorted(unknown):
                 violations.append(
-                    f"attempts for {skill_id}/{layer} are not consecutive from 1: {attempts}"
+                    f"node {treemod.format_path(node.path)} links unknown skill {skill_id}"
                 )
-            if skill_id not in self._skills:
+            unknown = [r for r in node.linked_resources if r not in resources]
+            for resource_id in sorted(unknown):
+                violations.append(
+                    f"node {treemod.format_path(node.path)} links unknown resource {resource_id}"
+                )
+
+        offending = []
+        for key, records in attempts.items():
+            if key[0] not in skills:
+                offending.append(key)
+                continue
+            for n, record in enumerate(records, start=1):
+                if record.attempt != n:
+                    offending.append(key)
+                    break
+        for skill_id, layer in sorted(offending):
+            numbers = [r.attempt for r in attempts[(skill_id, layer)]]
+            if numbers != list(range(1, len(numbers) + 1)):
+                violations.append(
+                    f"attempts for {skill_id}/{layer} are not consecutive from 1: {numbers}"
+                )
+            if skill_id not in skills:
                 violations.append(f"verification records reference unknown skill {skill_id}")
 
         return violations
@@ -690,7 +731,32 @@ class Registry:
 
     def save_tree(self, tree: treemod.DomainTree) -> None:
         with self.lock:
-            atomic_write_text(self.root / TREE_SNAPSHOT, dump_json_doc(treemod.tree_to_document(tree)))
+            atomic_write_text(self.root / TREE_SNAPSHOT, self._render_tree(tree))
+
+    def _render_tree(self, tree: treemod.DomainTree) -> str:
+        """``dump_json_doc(tree_to_document(tree))``, re-rendering only the
+        nodes that are not the very ``TreeNode`` objects rendered last time.
+
+        Tree operations are copy-on-write over frozen nodes, so a node object
+        that was rendered before still has the same document.
+        """
+        if not tree.nodes:
+            return dump_json_doc(treemod.tree_to_document(tree))
+        cache = self._tree_fragments
+        stale = [
+            (path, node)
+            for path, node in tree.nodes.items()
+            if (cached := cache.get(path)) is None or cached[0] is not node
+        ]
+        if stale:
+            fragments = _render_records([treemod.node_to_document(node) for _, node in stale])
+            for (path, node), fragment in zip(stale, fragments):
+                # One level deeper than a top-level list's elements.
+                cache[path] = (node, "  " + fragment.replace("\n", "\n  "))
+        if len(cache) != len(tree.nodes):
+            self._tree_fragments = cache = {path: cache[path] for path in tree.nodes}
+        body = ",\n".join([cache[path][1] for path in tree.nodes])
+        return '{\n  "nodes": [\n' + body + "\n  ]\n}\n"
 
     def load_tree_snapshot(self) -> treemod.DomainTree | None:
         path = self.root / TREE_SNAPSHOT
@@ -703,32 +769,31 @@ class Registry:
         design commits, and after an evaluation phase changed a skill's status."""
         with self.lock:
             index = self.root / INDEX_DIR
-            atomic_write_text(index / "skills.json", self._render_index("skills.json", self.skills()))
             atomic_write_text(
-                index / "resources.json", self._render_index("resources.json", self.resources())
+                index / "skills.json", self._render_index("skills.json", self._skills)
+            )
+            atomic_write_text(
+                index / "resources.json", self._render_index("resources.json", self._resources)
             )
             if tree is not None:
                 atomic_write_text(
                     index / "stats.json", dump_json_doc(self.snapshot_stats(tree).to_record())
                 )
 
-    def _render_index(self, name: str, entries: list[SkillEntry] | list[ResourceEntry]) -> str:
-        """``dump_json_doc`` of the entries' records, re-rendering only the
-        records whose ``to_record()`` changed since the last compaction."""
-        if not entries:
+    def _render_index(
+        self, name: str, table: dict[str, SkillEntry] | dict[str, ResourceEntry]
+    ) -> str:
+        """``dump_json_doc`` of the records in id order, rendering only the
+        records written since the last compaction (those without a fragment)."""
+        if not table:
             return "[]\n"
         cache = self._rendered[name]
-        records = {entry.id: entry.to_record() for entry in entries}
-        stale = [
-            (record_id, record)
-            for record_id, record in records.items()
-            if record_id not in cache or cache[record_id][0] != record
-        ]
+        ids = sorted(table)
+        stale = [record_id for record_id in ids if record_id not in cache]
         if stale:
-            fragments = _render_records([record for _, record in stale])
-            for (record_id, record), fragment in zip(stale, fragments):
-                cache[record_id] = (record, fragment)
-        return "[\n" + ",\n".join(cache[record_id][1] for record_id in records) + "\n]\n"
+            fragments = _render_records([table[record_id].to_record() for record_id in stale])
+            cache.update(zip(stale, fragments))
+        return "[\n" + ",\n".join([cache[record_id] for record_id in ids]) + "\n]\n"
 
 
 # ``dump_json_doc``'s settings, in an encoder built once.
@@ -744,6 +809,10 @@ def _render_records(records: list[dict]) -> list[str]:
     """
     first, *rest = _PRETTY.encode(records)[2:-2].split(",\n  {")
     return [first] + ["  {" + fragment for fragment in rest]
+
+
+def _log_key(stat: os.stat_result) -> tuple[int, int, int]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 def open_registry(root_dir: str | Path, lock_wait: str = "block", lock_timeout: float = 10.0) -> Registry:

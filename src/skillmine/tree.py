@@ -489,23 +489,24 @@ def check_invariants(tree: DomainTree) -> list[str]:
 # -- serialization -----------------------------------------------------------
 
 
+def node_to_document(node: TreeNode) -> dict:
+    entry = {
+        "path": format_path(node.path),
+        "kind": node.kind,
+        "children": [format_path(c) for c in node.children],
+        "linked_resources": sorted(node.linked_resources),
+        "linked_skills": sorted(node.linked_skills),
+        "recent_verifications": [list(e) for e in node.recent_verifications],
+        "coverage_flag": node.coverage_flag,
+        "status": node.status,
+    }
+    if node.merged_into is not None:
+        entry["merged_into"] = format_path(node.merged_into)
+    return entry
+
+
 def tree_to_document(tree: DomainTree) -> dict:
-    nodes = []
-    for node in tree.nodes.values():
-        entry = {
-            "path": format_path(node.path),
-            "kind": node.kind,
-            "children": [format_path(c) for c in node.children],
-            "linked_resources": sorted(node.linked_resources),
-            "linked_skills": sorted(node.linked_skills),
-            "recent_verifications": [list(e) for e in node.recent_verifications],
-            "coverage_flag": node.coverage_flag,
-            "status": node.status,
-        }
-        if node.merged_into is not None:
-            entry["merged_into"] = format_path(node.merged_into)
-        nodes.append(entry)
-    return {"nodes": nodes}
+    return {"nodes": [node_to_document(node) for node in tree.nodes.values()]}
 
 
 def tree_from_document(document: dict) -> DomainTree:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from skillmine.contracts import (
     compile_package,
 )
 from skillmine.harness import ValidationHarness
+from skillmine.novelty import filesystem_time
 from skillmine.pipeline import Pipeline
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -223,3 +226,14 @@ def make_scheduler_package(root: Path, ntasks: int = 2, name: str = "fixture-sch
 
 def copy_tree(source: Path, dest: Path) -> None:
     shutil.copytree(source, dest)
+
+
+def settle_library_clock(library: Path) -> None:
+    """Wait on the real clock until the library's filesystem time is past the
+    ctime of every ``skill.json`` under ``skills/``, so that the next scan
+    records keys it may trust. Makes the ``sandbox/`` the probe needs."""
+    sandbox = library / "sandbox"
+    sandbox.mkdir(exist_ok=True)
+    newest = max(os.stat(p).st_ctime_ns for p in (library / "skills").rglob("skill.json"))
+    while filesystem_time(str(sandbox)) <= newest:
+        time.sleep(0.001)

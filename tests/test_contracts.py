@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,26 @@ def test_tokenizer_is_shell_free_quoted_splitting():
     assert tokenize_command("python3 -c 'print(1)'") == ["python3", "-c", "print(1)"]
     with pytest.raises(MalformedInvocationError):
         tokenize_command("   ")
+
+
+# Characters around shlex's four whitespace characters that it does not treat
+# as whitespace (vertical tab, NBSP, NEL, NUL, comment sign), plus quotes and
+# backslashes, which take the shlex path.
+COMMAND_CHARS = list(" \t\r\n\x0b\x0c\xa0\x85\x00#;|&$()=-_.:/ab'\"\\")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command=st.text(st.sampled_from(COMMAND_CHARS) | st.characters(), max_size=24))
+def test_tokenizer_equals_shlex_split(command):
+    try:
+        expected = shlex.split(command, posix=True)
+    except ValueError:
+        expected = None
+    if not expected:
+        with pytest.raises(MalformedInvocationError):
+            tokenize_command(command)
+    else:
+        assert tokenize_command(command) == expected
 
 
 # -- compilation --------------------------------------------------------------------

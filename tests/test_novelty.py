@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from skillmine import novelty
 from skillmine import tree as treemod
-from skillmine.contracts import SkillContract
+from skillmine.contracts import SkillContract, compile_package
 from skillmine.errors import CatalogReadError, EmptyKeywordsError
 from skillmine.registry import SkillEntry, VerificationRecord, open_registry
+
+from conftest import settle_library_clock
 
 
 def contract(scope: str, steps: tuple[str, ...] = ()) -> SkillContract:
@@ -362,6 +365,147 @@ def test_ladder_is_total_and_matches_oracle(overlaps):
     ]
     verdict = novelty.adjudicate(contract("anything useful"), matches, skill_id="s1")
     assert verdict.decision == oracle_decision(matches)
+
+
+# -- the live local index ---------------------------------------------------------------
+
+
+live_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "scope", "remove"]),
+        st.sampled_from(["r1", "r2", "r3", "r4", "r5"]),
+        texts,
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=live_ops, queries=st.lists(texts, min_size=1, max_size=3))
+def test_an_updated_index_searches_like_a_fresh_one(ops, queries):
+    current: dict[str, novelty.CatalogEntry] = {}
+    live = novelty.CatalogIndex([])
+    for kind, ref, text in ops:
+        before = dict(current)
+        if kind == "put":
+            current[ref] = entry("local", ref, text, text)
+        elif kind == "scope" and ref in current:
+            current[ref] = entry("local", ref, current[ref].task_description, text)
+        else:
+            current.pop(ref, None)
+        entries = [current[r] for r in sorted(current)]
+        in_place = before.keys() <= current.keys() and all(
+            before[r].task_description == current[r].task_description for r in before
+        )
+        assert live.update(entries) == in_place
+        if not in_place:
+            live = novelty.CatalogIndex(entries)
+        assert sorted(live.entries, key=lambda e: e.entry_ref) == entries
+        fresh = novelty.CatalogIndex(entries)
+        for query in queries:
+            keywords = keywords_or(query, novelty.KeywordSet(terms=()))
+            for limit in (1, 6):
+                assert novelty.search_catalogs(
+                    {"local": live}, keywords, limit, query, None, query
+                ) == novelty.search_catalogs({"local": fresh}, keywords, limit, query, None, query)
+
+
+# -- the local catalog's stat keys ------------------------------------------------------
+
+
+def local_library(root, scopes):
+    """A registry whose skills have compiled packages."""
+    registry = open_registry(root)
+    for skill_id, scope in scopes.items():
+        compile_package(contract(scope, ("draw the grid",)), {}, root / "skills" / skill_id, name=skill_id)
+        registry.upsert_skill(
+            SkillEntry(id=skill_id, name=skill_id, leaf_path="root/alpha/one",
+                       package_path=f"skills/{skill_id}")
+        )
+    return registry
+
+
+def assert_cached_read_is_exact(registry, root, cache):
+    entries = novelty.local_catalog_entries(registry, root, cache)
+    assert entries == novelty.local_catalog_entries(registry, root)
+    return entries
+
+
+def test_cached_texts_see_an_edit_hidden_by_a_utime_restore(tmp_path):
+    root = tmp_path / "library"
+    registry = local_library(root, {"alpha": "Plot gene clusters on a grid"})
+    settle_library_clock(root)
+    cache = {}
+    assert_cached_read_is_exact(registry, root, cache)
+    assert cache["alpha"].trusted
+
+    path = root / "skills" / "alpha" / "skill.json"
+    stat = path.stat()
+    path.write_bytes(path.read_bytes().replace(b"gene", b"cell"))  # same inode, same size
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    entries = assert_cached_read_is_exact(registry, root, cache)
+    assert entries[0].task_description == "Plot cell clusters on a grid"
+
+
+def test_cached_texts_see_a_same_size_file_renamed_over_the_old_one(tmp_path):
+    root = tmp_path / "library"
+    registry = local_library(root, {"alpha": "Plot gene clusters on a grid"})
+    settle_library_clock(root)
+    cache = {}
+    assert_cached_read_is_exact(registry, root, cache)
+
+    path = root / "skills" / "alpha" / "skill.json"
+    stat = path.stat()
+    swap = path.with_name("skill.json.new")
+    swap.write_bytes(path.read_bytes().replace(b"gene", b"cell"))
+    os.utime(swap, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    os.replace(swap, path)
+    assert path.stat().st_ino != stat.st_ino
+    entries = assert_cached_read_is_exact(registry, root, cache)
+    assert entries[0].task_description == "Plot cell clusters on a grid"
+
+
+def test_cached_texts_see_edits_made_right_after_a_scan(tmp_path):
+    """Same-size in-place edits straight after each scan: many land in the
+    clock tick of the scan's read, where only the racy rule tells them apart."""
+    root = tmp_path / "library"
+    registry = local_library(
+        root, {"alpha": "Plot gene clusters on a grid", "beta": "Align short reads to genomes"}
+    )
+    (root / "sandbox").mkdir()
+    path = root / "skills" / "alpha" / "skill.json"
+    original = path.read_bytes()
+    cache = {}
+    for i in range(200):
+        entries = assert_cached_read_is_exact(registry, root, cache)
+        assert entries[0].task_description.split()[1] == ("gene", "cell")[i % 2]
+        with open(path, "r+b") as handle:
+            handle.write(original.replace(b"gene", (b"cell", b"gene")[i % 2]))
+
+
+def test_a_key_is_trusted_only_when_strictly_older_than_the_fence(tmp_path):
+    root = tmp_path / "library"
+    local_library(root, {"alpha": "Plot gene clusters on a grid"})
+    path = root / "skills" / "alpha" / "skill.json"
+
+    def trusted(fence):
+        return novelty._read_local_text(str(root), "skills/alpha", None, fence).trusted
+
+    stat = path.stat()
+    newest = max(stat.st_ctime_ns, stat.st_mtime_ns)
+    assert [trusted(f) for f in (None, newest, newest + 1)] == [False, False, True]
+    # An mtime set ahead of the fence keeps the key untrusted.
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_ctime_ns + 10**12))
+    assert not trusted(path.stat().st_ctime_ns + 1)
+
+
+def test_without_a_probe_directory_no_key_is_trusted(tmp_path):
+    root = tmp_path / "library"
+    registry = local_library(root, {"alpha": "Plot gene clusters on a grid"})
+    cache = {}
+    assert_cached_read_is_exact(registry, root, cache)
+    assert not (root / "sandbox").exists() and not cache["alpha"].trusted
 
 
 # -- write-back ----------------------------------------------------------------------

@@ -20,7 +20,14 @@ from skillmine.registry import Registry, SkillEntry, VerificationRecord
 from skillmine.util import digest_dir
 from skillmine.workers import state_digest
 
-from conftest import FAILING_SMOKE, FIXTURES, SLOW_SMOKE, make_engine, write_mock
+from conftest import (
+    FAILING_SMOKE,
+    FIXTURES,
+    SLOW_SMOKE,
+    make_engine,
+    settle_library_clock,
+    write_mock,
+)
 
 GENOMICS = "science/genomics"
 ALIGN_LEAF = "science/genomics/alignment/short-read-alignment"
@@ -550,6 +557,58 @@ def test_review_sees_library_changes_between_calls(engine):
         assert engine._adjudicate(skill_id) == fresh._adjudicate(skill_id)
     assert engine._adjudicate("beta").decision == "redundant"
     assert engine._adjudicate("delta").supporting_matches[0].entry_ref == "epsilon"
+
+
+def test_a_review_opens_only_the_skill_json_files_that_changed(engine, monkeypatch):
+    add_skill(engine, "alpha", "Plot gene clusters on a grid", ("draw the grid",))
+    add_skill(engine, "beta", "Align short reads to genomes", ("index then align",))
+    add_skill(engine, "gamma", "Estimate rotation periods", ("fit periodograms",))
+    settle_library_clock(engine.root)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, engine.root))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(noveltymod, "open", counting_open, raising=False)
+    first = engine._adjudicate("alpha")
+    assert sorted(opened) == [f"skills/{s}/skill.json" for s in ("alpha", "beta", "gamma")]
+    opened.clear()
+    assert engine._adjudicate("alpha") == first
+    assert opened == []
+
+    metadata = engine.root / "skills" / "beta" / "skill.json"
+    stat = metadata.stat()
+    metadata.write_bytes(metadata.read_bytes().replace(b"short reads", b"long reads!"))
+    os.utime(metadata, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    reference = Pipeline(engine.config)._adjudicate("alpha")
+    opened.clear()
+    assert engine._adjudicate("alpha") == reference
+    assert opened == ["skills/beta/skill.json"]
+
+
+def test_the_local_index_is_kept_unless_an_entry_goes_or_changes_task(engine):
+    add_skill(engine, "alpha", "Plot gene clusters on a grid", ("draw the grid",))
+    add_skill(engine, "beta", "Align short reads to genomes", ("index then align",))
+    (engine.root / "sandbox").mkdir(exist_ok=True)
+
+    def current():
+        index = engine._local_index()
+        fresh = noveltymod.local_catalog_entries(engine.registry, engine.root)
+        assert sorted(index.entries, key=lambda e: e.entry_ref) == fresh
+        return index
+
+    first = current()
+    add_skill(engine, "gamma", "Align short reads to genomes", ("seed then extend",))
+    assert current() is first  # a new skill is appended
+    scope = engine.root / "skills" / "gamma" / "skill.json"
+    scope.write_bytes(scope.read_bytes().replace(b"seed then extend", b"seed and extend"))
+    assert current() is first  # a scope change is swapped in place
+    engine.registry.transition_skill("beta", "removed", cycle=2)
+    assert current() is not first
+    fresh = Pipeline(engine.config)
+    for skill_id in ("alpha", "gamma"):
+        assert engine._adjudicate(skill_id) == fresh._adjudicate(skill_id)
 
 
 PLOT = "Plot cell clusters on a grid"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import signal
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from skillmine.errors import (
     InvalidStatusError,
     LockHeldError,
     RegistryError,
+    TreeOperationError,
     UnknownSkillError,
 )
 from skillmine.registry import (
@@ -693,3 +696,140 @@ def test_warm_compaction_re_renders_only_changed_records(tmp_path, monkeypatch):
     registry.compact_index()
     assert rendered == ["s-07"]
 
+
+
+def test_every_mutator_marks_its_records_for_the_next_compaction(tmp_path, monkeypatch):
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    for i in range(6):
+        registry.upsert_skill(entry(skill_id=f"s-{i}", leaf="root/alpha/one"))
+    for i in range(3):
+        registry.record_resource(
+            ResourceEntry(id="", kind="paper", locator=f"https://example.org/{i}", leaf_paths=["root/alpha/one"])
+        )
+    rendered: list[str] = []
+    render = registrymod._render_records
+
+    def counting_render(records: list[dict]) -> list[str]:
+        rendered.extend(record["id"] for record in records)
+        return render(records)
+
+    monkeypatch.setattr(registrymod, "_render_records", counting_render)
+    registry.compact_index()
+    resource = registry.resources()[0]
+    mutations = [
+        (lambda: registry.upsert_skill(entry(skill_id="s-1", leaf="root/alpha/one", name="Renamed")), ["s-1"]),
+        (lambda: registry.transition_skill("s-2", "removed", cycle=2), ["s-2"]),
+        (lambda: registry.relocate_skill("s-3", "root/alpha/two", cycle=2), ["s-3"]),
+        (lambda: registry.set_novelty_decision("s-4", "novel", cycle=2), ["s-4"]),
+        (lambda: registry.set_verification("s-5", VerificationRecord("s-5", "execution", "pass", 1)), ["s-5"]),
+        (lambda: registry.set_verification(
+            "s-0", VerificationRecord("s-0", "execution", "fail", 1), promote=False), []),
+        (lambda: registry.record_resource(replace(resource, leaf_paths=["root/beta/three"])), [resource.id]),
+        (lambda: registry.upsert_skill(entry(skill_id="s-6")), ["s-6"]),
+    ]
+    for mutate, expected in mutations:
+        rendered.clear()
+        mutate()
+        registry.compact_index()
+        assert rendered == expected
+        assert _index_bytes(root) == _full_render(registry)
+
+    # A record another registry appends makes the next mutator reload, and a
+    # reload leaves every record to be rendered again.
+    open_registry(root).set_novelty_decision("s-0", "merge", cycle=3)
+    rendered.clear()
+    registry.set_novelty_decision("s-1", "novel", cycle=3)
+    registry.compact_index()
+    assert sorted(rendered) == sorted([e.id for e in registry.skills()] + [r.id for r in registry.resources()])
+    assert registry.skill("s-0").novelty_decision == "merge"
+    assert _index_bytes(root) == _full_render(registry)
+
+
+def test_a_same_size_log_replaced_by_another_registry_is_reloaded(tmp_path):
+    root = tmp_path / "library"
+    first = open_registry(root)
+    first.upsert_skill(entry(skill_id="s-1", name="Align reads"))
+    second = open_registry(root)
+    log = root / "skills.ndjson"
+    old = log.read_bytes()
+    new = old.replace(b"Align reads", b"Align cells")
+    assert len(new) == len(old) and new != old
+    stat = log.stat()
+    with second.lock:
+        swap = root / "skills.ndjson.new"
+        swap.write_bytes(new)
+        os.utime(swap, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        os.replace(swap, log)
+    first.set_novelty_decision("s-1", "novel", cycle=2)
+    assert first.skill("s-1").name == "Align cells"
+    assert [json.loads(line)["name"] for line in log.read_text().splitlines()] == ["Align cells"] * 2
+
+
+tree_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["link", "resource", "verify", "insert", "review", "prune", "rewind", "reopen"]),
+        st.integers(0, 40),
+        st.sampled_from(["pass", "fail", "error"]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=tree_ops)
+def test_saved_tree_bytes_equal_a_full_render(ops):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "library"
+        registry = open_registry(root)
+        registry.save_tree(treemod.DomainTree(nodes={}))
+        assert (root / "tree.snapshot").read_bytes() == b'{\n  "nodes": []\n}\n'
+        tree = treemod.load_tree(INTEGRITY_TREE)
+        saved = [tree]
+        for kind, n, outcome in ops:
+            leaves = [path for path, node in tree.nodes.items() if node.kind == "leaf"]
+            path = leaves[n % len(leaves)]
+            try:
+                if kind == "link":
+                    tree = treemod.link_skill(tree, path, f"s-{n % 7}")
+                elif kind == "resource":
+                    tree = treemod.link_resource(tree, path, f"res-{n % 5}")
+                elif kind == "verify":
+                    tree = treemod.record_verification(tree, path, f"s-{n % 7}", outcome, n)
+                elif kind == "insert":
+                    tree = treemod.insert_leaf(tree, path[:-1], f"new-{n}")
+                elif kind == "review":
+                    tree = treemod.set_node_status(tree, path, "review")
+                elif kind == "prune":
+                    tree = treemod.prune_leaf(tree, path, reason="test")
+                elif kind == "rewind":  # an older snapshot after newer ones
+                    tree = saved[n % len(saved)]
+                else:  # a new registry starts with nothing rendered
+                    registry = open_registry(root)
+            except TreeOperationError:
+                pass
+            registry.save_tree(tree)
+            saved.append(tree)
+            expected = dump_json_doc(treemod.tree_to_document(tree)).encode("utf-8")
+            assert (root / "tree.snapshot").read_bytes() == expected
+
+
+def test_integrity_check_sorts_only_what_it_reports(tmp_path):
+    """Several offenders of each kind, planted out of order, come out sorted
+    as the full scan gives them."""
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    tree = treemod.load_tree(INTEGRITY_TREE)
+    for skill_id in ("s-b", "s-a"):
+        registry.upsert_skill(entry(skill_id=skill_id, leaf="root/alpha/one"))
+        tree = treemod.link_skill(tree, treemod.parse_path("root/alpha/one"), skill_id)
+    for name in ("zeta", "eta", "beta"):
+        tree = treemod.link_skill(tree, treemod.parse_path("root/alpha/two"), f"ghost-{name}")
+        tree = treemod.link_resource(tree, treemod.parse_path("root/beta"), f"res-{name}")
+    verifications = root / "verifications.ndjson"
+    for skill_id, layer, attempt in (("s-b", "system", 2), ("zz", "execution", 1), ("s-a", "synthetic", 3), ("aa", "system", 1)):
+        _append_line(verifications, VerificationRecord(skill_id, layer, "fail", attempt).to_record())
+    reopened = open_registry(root)
+    violations = reopened.integrity_check(tree)
+    assert violations == reference_integrity_check(reopened, tree)
+    assert len(violations) == 6 + 4
