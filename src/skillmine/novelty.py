@@ -472,11 +472,6 @@ class LocalText(NamedTuple):
     texts: tuple[str, str] | None
 
 
-# Where a probe file is made to read the filesystem's clock; the state
-# digest excludes it.
-PROBE_DIR = "sandbox"
-
-
 def filesystem_time(directory: str) -> int | None:
     """The ctime of a probe file made and removed in ``directory``: a
     timestamp of that filesystem's clock, or None when no probe can be made."""
@@ -495,6 +490,7 @@ def local_catalog_entries(
     registry: Registry,
     packages_root: Path,
     texts: dict[str, LocalText] | None = None,
+    probe_dir: str | Path | None = None,
 ) -> list[CatalogEntry]:
     """Expose the local library through the catalog view.
 
@@ -511,8 +507,9 @@ def local_catalog_entries(
     replaced file has a new inode, so a trusted key that still matches means
     the bytes are the ones read; an edit in the same clock tick as the read
     would keep the key, which is why such keys are not trusted. The timestamp
-    is the ctime of a probe file in the library's ``sandbox/``; without that
-    directory nothing is trusted and every file is read.
+    is the ctime of a probe file made in ``probe_dir``, a directory on the
+    library's filesystem that the state digest skips (a pipeline passes its
+    harness sandbox); without one nothing is trusted and every file is read.
 
     A pipeline calls this once per commit, not once per review: no review
     or verdict writes a ``skill.json``, so every review in one commit would
@@ -523,8 +520,8 @@ def local_catalog_entries(
     fence = None
     if texts is None:
         texts = {}
-    elif os.path.isdir(probe_dir := os.path.join(top, PROBE_DIR)):
-        fence = filesystem_time(probe_dir)
+    elif probe_dir is not None:
+        fence = filesystem_time(os.fspath(probe_dir))
     entries: list[CatalogEntry] = []
     for skill in registry.skills():
         if skill.status in ("removed",):

@@ -716,7 +716,9 @@ class Pipeline:
         It is kept across commits: a commit that changed only scopes or
         added skills updates it in place, and any other change rebuilds it.
         """
-        entries = noveltymod.local_catalog_entries(self.registry, self.root, self._local_texts)
+        entries = noveltymod.local_catalog_entries(
+            self.registry, self.root, self._local_texts, self.harness.sandbox_root
+        )
         if self._local is None or not self._local.update(entries):
             self._local = noveltymod.CatalogIndex(entries)
         return self._local

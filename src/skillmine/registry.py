@@ -663,67 +663,57 @@ class Registry:
         violations: list[str] = []
         violations.extend(treemod.check_invariants(tree))
 
-        nodes, attempts = tree.nodes, self._attempts
-        for skill_id in sorted(self._skills):
-            entry = self._skills[skill_id]
-            node = nodes.get(self._leaf_path(entry.leaf_path))
+        for entry in self.skills():
+            node = tree.nodes.get(self._leaf_path(entry.leaf_path))
             if node is None:
-                violations.append(f"skill {skill_id} references missing leaf {entry.leaf_path}")
+                violations.append(f"skill {entry.id} references missing leaf {entry.leaf_path}")
             elif node.status == "pruned" and entry.status not in ("deprecated", "removed"):
                 violations.append(
-                    f"skill {skill_id} points at pruned leaf {entry.leaf_path} without deprecation"
+                    f"skill {entry.id} points at pruned leaf {entry.leaf_path} without deprecation"
                 )
-            history = self._skill_history.get(skill_id)
+            history = self._skill_history.get(entry.id, [])
             if history:
+                if history[0]["status"] != "untested":
+                    violations.append(f"skill {entry.id} history does not start at untested")
                 prev = history[0]["status"]
-                if prev != "untested":
-                    violations.append(f"skill {skill_id} history does not start at untested")
                 for record in history[1:]:
                     status = record["status"]
                     if status != prev and status not in LEGAL_TRANSITIONS[prev]:
                         violations.append(
-                            f"skill {skill_id} history contains illegal transition {prev} -> {status}"
+                            f"skill {entry.id} history contains illegal transition {prev} -> {status}"
                         )
                     prev = status
                 if prev != entry.status:
-                    violations.append(f"skill {skill_id} replay mismatch: {prev} != {entry.status}")
-            if entry.status == "verified":
-                for record in attempts.get((skill_id, "execution"), ()):
-                    if record.outcome == "pass":
-                        break
-                else:
-                    violations.append(f"verified skill {skill_id} has no passing execution record")
+                    violations.append(f"skill {entry.id} replay mismatch: {prev} != {entry.status}")
+            if entry.status == "verified" and not any(
+                r.outcome == "pass" for r in self._attempts.get((entry.id, "execution"), ())
+            ):
+                violations.append(f"verified skill {entry.id} has no passing execution record")
 
-        skills, resources = self._skills, self._resources
-        for node in nodes.values():
-            unknown = [s for s in node.linked_skills if s not in skills]
-            for skill_id in sorted(unknown):
+        for node in tree.nodes.values():
+            for skill_id in sorted(s for s in node.linked_skills if s not in self._skills):
                 violations.append(
                     f"node {treemod.format_path(node.path)} links unknown skill {skill_id}"
                 )
-            unknown = [r for r in node.linked_resources if r not in resources]
-            for resource_id in sorted(unknown):
+            for resource_id in sorted(r for r in node.linked_resources if r not in self._resources):
                 violations.append(
                     f"node {treemod.format_path(node.path)} links unknown resource {resource_id}"
                 )
 
-        offending = []
-        for key, records in attempts.items():
-            if key[0] not in skills:
-                offending.append(key)
-                continue
-            for n, record in enumerate(records, start=1):
-                if record.attempt != n:
-                    offending.append(key)
-                    break
-        for skill_id, layer in sorted(offending):
-            numbers = [r.attempt for r in attempts[(skill_id, layer)]]
-            if numbers != list(range(1, len(numbers) + 1)):
-                violations.append(
-                    f"attempts for {skill_id}/{layer} are not consecutive from 1: {numbers}"
+        found: list[tuple[tuple[str, str], str]] = []
+        for (skill_id, layer), records in self._attempts.items():
+            attempts = [r.attempt for r in records]
+            if attempts != list(range(1, len(attempts) + 1)):
+                found.append(
+                    ((skill_id, layer),
+                     f"attempts for {skill_id}/{layer} are not consecutive from 1: {attempts}")
                 )
-            if skill_id not in skills:
-                violations.append(f"verification records reference unknown skill {skill_id}")
+            if skill_id not in self._skills:
+                found.append(
+                    ((skill_id, layer), f"verification records reference unknown skill {skill_id}")
+                )
+        found.sort(key=lambda item: item[0])  # stable: a key's messages keep their order
+        violations.extend(message for _, message in found)
 
         return violations
 

@@ -425,8 +425,8 @@ def local_library(root, scopes):
     return registry
 
 
-def assert_cached_read_is_exact(registry, root, cache):
-    entries = novelty.local_catalog_entries(registry, root, cache)
+def assert_cached_read_is_exact(registry, root, cache, probe_dir="sandbox"):
+    entries = novelty.local_catalog_entries(registry, root, cache, root / probe_dir)
     assert entries == novelty.local_catalog_entries(registry, root)
     return entries
 
@@ -503,9 +503,14 @@ def test_a_key_is_trusted_only_when_strictly_older_than_the_fence(tmp_path):
 def test_without_a_probe_directory_no_key_is_trusted(tmp_path):
     root = tmp_path / "library"
     registry = local_library(root, {"alpha": "Plot gene clusters on a grid"})
+    settle_library_clock(root)
     cache = {}
+    assert_cached_read_is_exact(registry, root, cache, probe_dir="moved")
+    assert not (root / "moved").exists() and not cache["alpha"].trusted
+    novelty.local_catalog_entries(registry, root, cache)
+    assert not cache["alpha"].trusted
     assert_cached_read_is_exact(registry, root, cache)
-    assert not (root / "sandbox").exists() and not cache["alpha"].trusted
+    assert cache["alpha"].trusted
 
 
 # -- write-back ----------------------------------------------------------------------

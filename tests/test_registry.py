@@ -827,9 +827,12 @@ def test_integrity_check_sorts_only_what_it_reports(tmp_path):
         tree = treemod.link_skill(tree, treemod.parse_path("root/alpha/two"), f"ghost-{name}")
         tree = treemod.link_resource(tree, treemod.parse_path("root/beta"), f"res-{name}")
     verifications = root / "verifications.ndjson"
-    for skill_id, layer, attempt in (("s-b", "system", 2), ("zz", "execution", 1), ("s-a", "synthetic", 3), ("aa", "system", 1)):
+    for skill_id, layer, attempt in (
+        ("s-b", "system", 2), ("zz", "execution", 1), ("s-a", "synthetic", 3),
+        ("aa", "system", 1), ("qq", "system", 2),  # qq's key gives both attempt messages
+    ):
         _append_line(verifications, VerificationRecord(skill_id, layer, "fail", attempt).to_record())
     reopened = open_registry(root)
     violations = reopened.integrity_check(tree)
     assert violations == reference_integrity_check(reopened, tree)
-    assert len(violations) == 6 + 4
+    assert len(violations) == 6 + 6
