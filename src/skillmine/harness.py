@@ -410,6 +410,13 @@ class ValidationHarness:
         report = self._write_report(report, attempt)
         if not config.keep:
             shutil.rmtree(sandbox, ignore_errors=True)
+            # The layer and skill directories too, unless a repair's work
+            # directory or another run is still in them; never the root.
+            for parent in (sandbox.parent, sandbox.parent.parent):
+                try:
+                    parent.rmdir()
+                except OSError:
+                    break
         return report
 
     def repair_loop(

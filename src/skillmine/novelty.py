@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from . import tree as treemod
 from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
-from .registry import Registry
+from .registry import Registry, SkillEntry
 
 SAME_TASK_JACCARD = 0.6
 SAME_SCOPE_JACCARD = 0.6
@@ -118,11 +118,33 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-def _safe_keywords(text: str) -> frozenset[str]:
-    try:
-        return keywords_from_text(text).as_set()
-    except EmptyKeywordsError:
-        return frozenset()
+def _term_set(text: str) -> frozenset[str]:
+    """``keywords_from_text(text).as_set()``, or empty when no keyword survives."""
+    tokens = _content_tokens(text)
+    return frozenset(tokens).union([f"{left} {right}" for left, right in zip(tokens, tokens[1:])])
+
+
+class _Candidate(NamedTuple):
+    """The candidate's side of a classification, prepared once per search."""
+
+    task_terms: frozenset[str]
+    task_text: str  # normalized
+    scope_terms: frozenset[str]
+    scope_text: str  # normalized
+
+
+def _candidate(
+    task_keywords: KeywordSet,
+    candidate_task_text: str,
+    scope_keywords: KeywordSet | None,
+    candidate_scope_text: str,
+) -> _Candidate:
+    return _Candidate(
+        task_keywords.as_set(),
+        _normalize_text(candidate_task_text),
+        (scope_keywords or task_keywords).as_set(),
+        _normalize_text(candidate_scope_text or candidate_task_text),
+    )
 
 
 def classify_entry(
@@ -131,23 +153,29 @@ def classify_entry(
     candidate_task_text: str,
     scope_keywords: KeywordSet | None = None,
     candidate_scope_text: str = "",
+    candidate: _Candidate | None = None,
 ) -> tuple[str, float]:
-    """Overlap class plus a ranking score for one catalog entry."""
-    entry_task = _safe_keywords(entry.task_description)
-    score = jaccard(task_keywords.as_set(), entry_task)
-    same_task = score >= SAME_TASK_JACCARD or (
-        _normalize_text(entry.task_description) == _normalize_text(candidate_task_text)
+    """Overlap class plus a ranking score for one catalog entry.
+
+    ``candidate`` is the candidate's side as ``_candidate`` prepares it from
+    the other arguments; a search passes it to prepare it once.
+    """
+    if candidate is None:
+        candidate = _candidate(
+            task_keywords, candidate_task_text, scope_keywords, candidate_scope_text
+        )
+    score = jaccard(candidate.task_terms, _term_set(entry.task_description))
+    same_task = (
+        score >= SAME_TASK_JACCARD
+        or _normalize_text(entry.task_description) == candidate.task_text
     )
     if not same_task:
         return ("related", score) if score > 0 else ("none", score)
 
-    scope_terms = (scope_keywords or task_keywords).as_set()
-    entry_scope = _safe_keywords(entry.scope_summary)
-    scope_score = jaccard(scope_terms, entry_scope)
-    scope_text = candidate_scope_text or candidate_task_text
+    scope_score = jaccard(candidate.scope_terms, _term_set(entry.scope_summary))
     same_scope = scope_score >= SAME_SCOPE_JACCARD or (
         bool(entry.scope_summary)
-        and _normalize_text(entry.scope_summary) == _normalize_text(scope_text)
+        and _normalize_text(entry.scope_summary) == candidate.scope_text
     )
     return ("same_task_same_scope" if same_scope else "same_task_diff_scope", score)
 
@@ -246,6 +274,7 @@ def search_catalogs(
     """
     query = {part for term in keywords.terms for part in term.split()}
     query.update(_content_tokens(candidate_task_text))
+    candidate = _candidate(keywords, candidate_task_text, scope_keywords, candidate_scope_text)
     matches: list[CatalogMatch] = []
     for catalog_id in sorted(catalogs):
         catalog = catalogs[catalog_id]
@@ -254,7 +283,8 @@ def search_catalogs(
             if skip is not None and skip(entry):
                 continue
             overlap, score = classify_entry(
-                entry, keywords, candidate_task_text, scope_keywords, candidate_scope_text
+                entry, keywords, candidate_task_text, scope_keywords, candidate_scope_text,
+                candidate,
             )
             if overlap == "none":
                 continue
@@ -462,7 +492,8 @@ def _contract_texts(data: bytes) -> tuple[str, str] | None:
 
 
 class LocalText(NamedTuple):
-    """What ``local_catalog_entries`` keeps of one skill's ``skill.json``."""
+    """What ``local_catalog_entries`` keeps of one skill's ``skill.json``,
+    with the registry entry and the catalog entry last built from them."""
 
     package_path: str
     path: str
@@ -470,6 +501,8 @@ class LocalText(NamedTuple):
     trusted: bool  # the key may stand for the bytes without a read
     digest: bytes
     texts: tuple[str, str] | None
+    skill: SkillEntry | None = None
+    entry: CatalogEntry | None = None
 
 
 def filesystem_time(directory: str) -> int | None:
@@ -499,7 +532,10 @@ def local_catalog_entries(
     ``(st_ino, st_size, st_mtime_ns, st_ctime_ns)``. A caller that keeps it
     across calls has each file stat-ed, and read only when its key changed or
     cannot be trusted; a file whose bytes are unchanged is not re-parsed.
-    Entries of skills no longer in the catalog are dropped.
+    When the file was not read and the registry still holds the same
+    ``SkillEntry`` object, the catalog entry built last time is returned:
+    every registry mutation replaces the object. Entries of skills no longer
+    in the catalog are dropped.
 
     A key is trusted only when its mtime and ctime are strictly older than
     a filesystem timestamp taken before the ``fstat`` that recorded it (git's
@@ -536,22 +572,24 @@ def local_catalog_entries(
             or _stat_key(cached.path) != cached.key
         ):
             cached = _read_local_text(top, skill.package_path, cached, fence)
-            if cached is None:
-                texts.pop(skill.id, None)
-            else:
-                texts[skill.id] = cached
+        elif cached.skill is skill:
+            entries.append(cached.entry)
+            continue
         if cached is not None and cached.texts is not None:
             task_text, scope_text = cached.texts
-        entries.append(
-            CatalogEntry(
-                catalog_id="local",
-                entry_ref=skill.id,
-                task_description=task_text,
-                scope_summary=scope_text,
-                topic_path=skill.leaf_path,
-                provenance=tuple(skill.provenance),
-            )
+        entry = CatalogEntry(
+            catalog_id="local",
+            entry_ref=skill.id,
+            task_description=task_text,
+            scope_summary=scope_text,
+            topic_path=skill.leaf_path,
+            provenance=tuple(skill.provenance),
         )
+        if cached is None:
+            texts.pop(skill.id, None)
+        else:
+            texts[skill.id] = cached._replace(skill=skill, entry=entry)
+        entries.append(entry)
     for gone in texts.keys() - {entry.entry_ref for entry in entries}:
         del texts[gone]
     return entries

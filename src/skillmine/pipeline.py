@@ -15,6 +15,7 @@ packages and reports it wrote stay.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -248,10 +249,10 @@ class Pipeline:
 
     def repository_summary(self) -> str:
         summary = treemod.coverage_summary(self.tree)
-        stats_skills = len([e for e in self.registry.skills() if e.status != "removed"])
-        verified = len([e for e in self.registry.skills() if e.status == "verified"])
+        statuses = Counter(e.status for e in self.registry.skills())
+        present = sum(statuses.values()) - statuses["removed"]
         return (
-            f"cycle={self.state.cycle_index} skills={stats_skills} verified={verified} "
+            f"cycle={self.state.cycle_index} skills={present} verified={statuses['verified']} "
             f"resources={len(self.registry.resources())} leaves={summary['leaves']} "
             f"covered={summary['covered']}"
         )

@@ -3,14 +3,18 @@
 Storage is one append-only newline-delimited JSON file per record class plus a
 compacted ``index/`` rewritten only by the refresh stage. All writes go
 through a single-writer lock, an ``flock`` on the registry root directory
-that the kernel releases when its holder dies, and use temp-file-then-rename
-so a killed process never leaves a torn record.
+that the kernel releases when its holder dies. A record is appended to its
+log with one ``O_APPEND`` write of the line and its newline, then an
+``fsync``; it is committed once its newline is in the file. A writer killed
+mid-write can leave an unterminated tail: readers ignore it and the next
+append cuts it off. Every other file is written temp-file-then-rename.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
+import logging
 import os
 import threading
 import time
@@ -57,6 +61,8 @@ RESOURCE_KINDS = (
 LAYERS = ("execution", "synthetic", "system", "benchmark")
 OUTCOMES = ("pass", "fail", "error")
 CONFIDENCES = ("starter", "standard")
+
+_log = logging.getLogger(__name__)
 
 SKILLS_FILE = "skills.ndjson"
 RESOURCES_FILE = "resources.ndjson"
@@ -324,13 +330,26 @@ class Registry:
         # tree.snapshot fragments: node path -> (the node rendered, its fragment).
         self._tree_fragments: dict[treemod.NodePath, tuple[treemod.TreeNode, str]] = {}
         self._leaf_paths: dict[str, treemod.NodePath] = {}
-        # Per log, (st_ino, st_size, st_mtime_ns) as last read or written here.
+        # Per log, (st_ino, st_size, st_mtime_ns) as last read or written here,
+        # the byte length of its committed records and their line count.
         self._log_keys: dict[str, tuple[int, int, int]] = {}
+        self._committed: dict[str, int] = {}
+        self._lines: dict[str, int] = {}
         self._reload()
 
     # -- loading --------------------------------------------------------------
 
     def _read_records(self, name: str) -> list[dict]:
+        """Parse a log's committed records: the bytes up to its last newline.
+
+        A record is committed once its newline is in the file, and a record
+        and its newline are written by one append, so an unterminated tail is
+        a write that was never acknowledged (a writer killed mid-write, or
+        one still writing). It is ignored, with a warning, and cut by the
+        next append. A corrupt line before the last newline raises
+        ``CorruptRecordError``. Sets the committed length and line count
+        that ``_append`` continues from.
+        """
         path = self.root / name
         records: list[dict] = []
         try:
@@ -341,11 +360,20 @@ class Registry:
                 data = handle.read()
         except FileNotFoundError:
             self._log_keys.pop(name, None)
-            return records
-        text = data.decode("utf-8")
+            data = b""
+        committed = data.rfind(b"\n") + 1
+        if committed < len(data):
+            _log.warning(
+                "%s: ignoring %d bytes of an unterminated record at the end",
+                path, len(data) - committed,
+            )
+            data = data[:committed]
+        self._committed[name] = committed
         # Records end at "\n" alone: str.splitlines() would also split at
         # U+0085 or U+2028, which canonical_json leaves unescaped in strings.
-        for line_no, line in enumerate(text.split("\n"), start=1):
+        lines = data.decode("utf-8").split("\n")
+        self._lines[name] = len(lines) - 1  # the text after the last "\n" is empty
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -355,8 +383,6 @@ class Registry:
             if not isinstance(record, dict):
                 raise CorruptRecordError(name, line_no, "record is not an object")
             records.append(record)
-        if text and not text.endswith("\n"):
-            raise CorruptRecordError(name, text.count("\n") + 1, "truncated record (no newline)")
         return records
 
     def _reload(self) -> None:
@@ -410,16 +436,37 @@ class Registry:
                 return
 
     def _append(self, name: str, record: dict) -> int:
-        """Append one record line via read-modify-rename. Caller holds the lock."""
-        path = self.root / name
-        existing = path.read_bytes() if path.exists() else b""
-        line = canonical_json(record) + "\n"
-        payload = existing + line.encode("utf-8")
-        from .util import atomic_write_bytes
+        """Append one record line; returns the log's line count, which is
+        the record's line number. Caller holds the lock.
 
-        atomic_write_bytes(path, payload)
-        self._log_keys[name] = _log_key(os.stat(path))
-        return payload.decode("utf-8").count("\n")
+        The line and its newline go out in one ``O_APPEND`` write (continued
+        after a short write), then one ``fsync``. A tail past the committed
+        records, left by a writer killed mid-write, is cut off first: the
+        lock is held, so no live append is cut.
+        """
+        path = self.root / name
+        data = (canonical_json(record) + "\n").encode("utf-8")
+        committed = self._committed[name]
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            size = os.fstat(fd).st_size
+            if size > committed:
+                _log.warning(
+                    "%s: cutting %d bytes of an unterminated record at the end",
+                    path, size - committed,
+                )
+                os.ftruncate(fd, committed)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+            stat = os.fstat(fd)
+        finally:
+            os.close(fd)
+        self._log_keys[name] = _log_key(stat)
+        self._committed[name] = stat.st_size
+        self._lines[name] += 1
+        return self._lines[name]
 
     # -- accessors -------------------------------------------------------------
 
@@ -620,8 +667,13 @@ class Registry:
         return RegistryViewAdapter(self, current_cycle)
 
     def snapshot_stats(self, tree: treemod.DomainTree) -> LibraryStats:
+        """Library statistics; raises ``InconsistencyError`` at the first skill
+        whose leaf is missing, or pruned while the skill is still live."""
         for entry in self.skills():
             self._check_leaf_reference(entry, tree)
+        return self._stats(tree)
+
+    def _stats(self, tree: treemod.DomainTree) -> LibraryStats:
         summary = treemod.coverage_summary(tree)
         present = [e for e in self._skills.values() if e.status != "removed"]
         adjudicated = [e for e in self._skills.values() if e.novelty_decision is not None]
@@ -756,7 +808,10 @@ class Registry:
 
     def compact_index(self, tree: treemod.DomainTree | None = None) -> None:
         """Rewrite the compacted views: at initialization, when refresh or a
-        design commits, and after an evaluation phase changed a skill's status."""
+        design commits, and after an evaluation phase changed a skill's status.
+
+        The stats are not checked against the tree here: a commit runs
+        ``integrity_check``, which makes the same leaf checks, before this."""
         with self.lock:
             index = self.root / INDEX_DIR
             atomic_write_text(
@@ -767,7 +822,7 @@ class Registry:
             )
             if tree is not None:
                 atomic_write_text(
-                    index / "stats.json", dump_json_doc(self.snapshot_stats(tree).to_record())
+                    index / "stats.json", dump_json_doc(self._stats(tree).to_record())
                 )
 
     def _render_index(

@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,7 @@ from skillmine import novelty
 from skillmine import tree as treemod
 from skillmine.contracts import SkillContract, compile_package
 from skillmine.errors import CatalogReadError, EmptyKeywordsError
-from skillmine.registry import SkillEntry, VerificationRecord, open_registry
+from skillmine.registry import LEGAL_TRANSITIONS, SkillEntry, VerificationRecord, open_registry
 
 from conftest import settle_library_clock
 
@@ -511,6 +514,86 @@ def test_without_a_probe_directory_no_key_is_trusted(tmp_path):
     assert not cache["alpha"].trusted
     assert_cached_read_is_exact(registry, root, cache)
     assert cache["alpha"].trusted
+
+
+LOCAL_IDS = ("alpha", "beta", "gamma")
+LOCAL_TEXTS = ("Plot gene clusters on a grid", "Align short reads", "Estimate rotation periods")
+local_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "status", "decision", "relocate", "provenance", "edit",
+                         "settle", "reopen"]),
+        st.sampled_from(LOCAL_IDS),
+        st.sampled_from(LOCAL_TEXTS),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=local_ops)
+@example([("settle", "alpha", ""), ("edit", "alpha", LOCAL_TEXTS[1])])
+@example([("settle", "alpha", ""), ("status", "alpha", "")])
+@example([("settle", "alpha", ""), ("provenance", "alpha", "")])
+def test_a_warm_local_catalog_equals_a_fresh_one(ops):
+    """Registry mutations and skill.json edits between warm calls."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "library"
+        registry = local_library(root, {"alpha": LOCAL_TEXTS[0]})
+        (root / "sandbox").mkdir()
+        cache = {}
+        assert_cached_read_is_exact(registry, root, cache)
+        for n, (op, skill_id, text) in enumerate(ops):
+            package = root / "skills" / skill_id
+            present = registry.has_skill(skill_id)
+            if op == "add" and not present:
+                compile_package(contract(text, ("draw the grid",)), {}, package, name=skill_id)
+                registry.upsert_skill(
+                    SkillEntry(id=skill_id, name=skill_id, leaf_path="root/alpha/one",
+                               package_path=f"skills/{skill_id}")
+                )
+            elif op == "edit" and present:
+                compile_package(contract(text, ("draw the grid",)), {}, package, name=skill_id)
+            elif op == "settle":
+                settle_library_clock(root)
+            elif op == "reopen":
+                registry = open_registry(root)
+            elif present:
+                current = registry.skill(skill_id)
+                if op == "status":
+                    targets = sorted(LEGAL_TRANSITIONS[current.status])
+                    if targets:
+                        registry.transition_skill(skill_id, targets[n % len(targets)], cycle=n)
+                elif op == "decision":
+                    registry.set_novelty_decision(skill_id, "novel", cycle=n)
+                elif op == "relocate":
+                    registry.relocate_skill(skill_id, f"root/alpha/leaf-{n}", cycle=n)
+                else:
+                    registry.upsert_skill(replace(current, provenance=[f"res-{n}"]))
+            assert_cached_read_is_exact(registry, root, cache)
+
+
+def test_a_warm_local_catalog_builds_only_the_entries_that_changed(tmp_path, monkeypatch):
+    root = tmp_path / "library"
+    registry = local_library(root, dict(zip(LOCAL_IDS, LOCAL_TEXTS)))
+    settle_library_clock(root)
+    cache = {}
+    assert_cached_read_is_exact(registry, root, cache)
+
+    built = []
+    catalog_entry = novelty.CatalogEntry
+
+    def counting(**fields):
+        built.append(fields["entry_ref"])
+        return catalog_entry(**fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(novelty, "CatalogEntry", counting)
+        warm = novelty.local_catalog_entries(registry, root, cache, root / "sandbox")
+        assert built == []
+        registry.set_novelty_decision("beta", "novel", cycle=2)
+        novelty.local_catalog_entries(registry, root, cache, root / "sandbox")
+        assert built == ["beta"]
+    assert warm == novelty.local_catalog_entries(registry, root)
 
 
 # -- write-back ----------------------------------------------------------------------

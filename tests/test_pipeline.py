@@ -492,6 +492,15 @@ def test_design_skill_skips_search_when_provider_signals(tmp_path, design_script
     assert any("skipped" in step for step in report.steps)
 
 
+def test_designs_leave_no_skill_directory_in_the_sandbox(tmp_path, design_script):
+    engine = make_engine(tmp_path / "library", design_script)
+    for prompt in ("Annotate cell types in spatial data", "No extra resources"):
+        assert engine.design_skill(prompt).status == "verified"
+    sandbox = engine.harness.sandbox_root
+    assert sandbox.is_dir()
+    assert [p.name for p in sandbox.iterdir() if p.is_dir()] == []
+
+
 def test_design_skill_budget_exhaustion_yields_failed_report(tmp_path, design_script):
     script = tmp_path / "script"
     script.mkdir()

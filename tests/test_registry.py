@@ -101,11 +101,83 @@ def test_corrupt_record_names_file_and_line(tmp_path):
     for i in range(3):
         registry.upsert_skill(entry(skill_id=f"ok-{i}"))
     skills_file = root / "skills.ndjson"
-    skills_file.write_bytes(skills_file.read_bytes() + b'{"id": "trunc')
+    good = canonical_json(entry(skill_id="ok-3").to_record()).encode("utf-8")
+    skills_file.write_bytes(skills_file.read_bytes() + b'{"id": "trunc\n' + good + b"\n")
     with pytest.raises(CorruptRecordError) as excinfo:
         open_registry(root)
     assert "skills.ndjson" in str(excinfo.value)
     assert excinfo.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b'{"id": "trunc',  # unterminated JSON
+        canonical_json(entry(skill_id="torn").to_record()).encode("utf-8"),  # no newline
+    ],
+    ids=["unterminated-json", "complete-json-without-newline"],
+)
+def test_a_torn_tail_is_ignored_at_open_and_cut_by_the_next_append(tmp_path, caplog, tail):
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    for i in range(3):
+        registry.upsert_skill(entry(skill_id=f"ok-{i}"))
+    skills_file = root / "skills.ndjson"
+    committed = skills_file.read_bytes()
+    skills_file.write_bytes(committed + tail)
+
+    with caplog.at_level("WARNING", logger="skillmine.registry"):
+        reopened = open_registry(root)
+    assert [s.id for s in reopened.skills()] == ["ok-0", "ok-1", "ok-2"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{skills_file}: ignoring {len(tail)} bytes of an unterminated record at the end"
+    ]
+    assert skills_file.read_bytes() == committed + tail  # a reader never cuts
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="skillmine.registry"):
+        receipt = reopened.upsert_skill(entry(skill_id="ok-3"))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{skills_file}: cutting {len(tail)} bytes of an unterminated record at the end"
+    ]
+    new_line = canonical_json(entry(skill_id="ok-3").to_record()) + "\n"
+    assert skills_file.read_bytes() == committed + new_line.encode("utf-8")
+    assert receipt.line == 4
+    assert [s.id for s in open_registry(root).skills()] == ["ok-0", "ok-1", "ok-2", "ok-3"]
+
+
+def test_a_registry_open_before_a_crash_cuts_the_tail_it_left(tmp_path):
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    registry.upsert_skill(entry(skill_id="ok-0"))
+    log = root / "verifications.ndjson"
+    log.write_bytes(b'{"skill_id": "ok-0", "la')  # a writer killed mid-write
+    registry.set_verification("ok-0", VerificationRecord("ok-0", "execution", "pass", 1))
+    assert log.read_bytes() == (
+        canonical_json(VerificationRecord("ok-0", "execution", "pass", 1).to_record()) + "\n"
+    ).encode("utf-8")
+    assert open_registry(root).skill("ok-0").status == "verified"
+
+
+def test_receipt_line_is_the_log_line_count(tmp_path):
+    root = tmp_path / "library"
+    skills_file = root / "skills.ndjson"
+    first = open_registry(root)
+
+    def line_count() -> int:
+        return skills_file.read_bytes().count(b"\n")
+
+    assert first.upsert_skill(entry(skill_id="s-0")).line == 1 == line_count()
+    assert first.upsert_skill(entry(skill_id="s-0", name="Renamed")).line == 2 == line_count()
+    with skills_file.open("ab") as handle:
+        handle.write(b"\n")  # a blank line is a line, though not a record
+    reloaded = open_registry(root)
+    assert reloaded.upsert_skill(entry(skill_id="s-1")).line == 4 == line_count()
+    # ``first`` resyncs before its next append and counts the lines it missed.
+    assert first.upsert_skill(entry(skill_id="s-2")).line == 5 == line_count()
+    resources = root / "resources.ndjson"
+    receipt = first.record_resource(ResourceEntry("", "paper", "https://example.org/p", ["a/b"]))
+    assert receipt.line == 1 == resources.read_bytes().count(b"\n")
 
 
 def test_durability_after_simulated_kill(tmp_path):
