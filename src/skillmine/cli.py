@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign_id")
     p.add_argument("--branches", help="comma-separated branch schedule (run)")
     p.add_argument("--cycles-per-branch", type=int, default=1)
-    p.add_argument("--mining-mode", choices=["cycle", "workers"], default="cycle")
 
     p = sub.add_parser("design-skill", help="design one skill from a task prompt")
     p.add_argument("--prompt", type=Path, required=True, help="file holding the task prompt")
@@ -121,7 +120,6 @@ def _dispatch(args) -> int:
                 campaign_id=args.campaign_id,
                 branch_schedule=tuple(b.strip() for b in args.branches.split(",") if b.strip()),
                 cycles_per_branch=args.cycles_per_branch,
-                mining_mode=args.mining_mode,
             )
             report = workersmod.run_campaign(pipeline, campaign)
         else:
@@ -142,9 +140,7 @@ def _dispatch(args) -> int:
         entry = pipeline.registry.skill(args.skill_id)
         package = contractsmod.load_package(pipeline.root / entry.package_path)
         if args.layer == "execution":
-            report = pipeline.harness.execution_test(
-                package, args.skill_id, pipeline._sandbox_config()
-            )
+            report = pipeline.harness.execution_test(package, args.skill_id)
             print(f"test {args.skill_id} execution: {report.verdict}")
             return 0 if report.verdict == "pass" else 1
         if args.layer == "synthetic":

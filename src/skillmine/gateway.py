@@ -31,11 +31,8 @@ STAGE_KINDS = (
     "tree_check",
     "resource_search",
     "skill_build",
-    "skill_test",
-    "refresh",
     "design_skill",
     "layer1_fix",
-    "layer2_benchmark",
     "layer2_optimize",
     "novelty_check",
     "parallel_leaf_stage",
@@ -54,11 +51,8 @@ REQUIRED_CONTEXT: dict[str, tuple[str, ...]] = {
     "tree_check": ("repository_summary",),
     "resource_search": ("repository_summary", "focus_leaves", "objective"),
     "skill_build": ("target_leaf", "objective"),
-    "skill_test": ("target_skill",),
-    "refresh": ("repository_summary",),
     "design_skill": ("task_prompt",),
     "layer1_fix": ("target_skill", "failure_log"),
-    "layer2_benchmark": ("target_skill", "benchmark_cases"),
     "layer2_optimize": ("target_skill", "benchmark_results"),
     "novelty_check": ("target_skill", "matches"),
     "parallel_leaf_stage": ("target_leaf", "artifact_directory"),
@@ -101,11 +95,8 @@ _TEMPLATES: dict[str, str] = {
     "tree_check": _CYCLE_TEMPLATE,
     "resource_search": _CYCLE_TEMPLATE,
     "skill_build": _CYCLE_TEMPLATE,
-    "skill_test": _CYCLE_TEMPLATE,
-    "refresh": _CYCLE_TEMPLATE,
     "design_skill": _DESIGN_TEMPLATE,
     "layer1_fix": _EVALUATION_TEMPLATE,
-    "layer2_benchmark": _EVALUATION_TEMPLATE,
     "layer2_optimize": _EVALUATION_TEMPLATE,
     "novelty_check": _EVALUATION_TEMPLATE,
     "parallel_leaf_stage": _PARALLEL_TEMPLATE,
@@ -224,10 +215,6 @@ def _check_edits(value: Any) -> str | None:
     return None
 
 
-def _check_number(value: Any) -> str | None:
-    return None if isinstance(value, (int, float)) and not isinstance(value, bool) else "must be a number"
-
-
 # field name -> checker returning an error detail or None
 _SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
     "tree_check": {
@@ -236,14 +223,6 @@ _SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
     },
     "resource_search": {"resources": _check_resources},
     "skill_build": {"candidates": _check_candidates},
-    "skill_test": {
-        "verdict": lambda v: None if v in ("pass", "fail", "error") else "must be pass|fail|error",
-        "log_summary": lambda v: None if isinstance(v, str) else "must be a string",
-    },
-    "refresh": {
-        "registry_updates": lambda v: None if isinstance(v, list) else "must be a list",
-        "tree_updates": lambda v: None if isinstance(v, list) else "must be a list",
-    },
     "design_skill": {
         "contract": lambda v: None if isinstance(v, dict) else "must be an object",
         "resources_used": _check_resources,
@@ -253,11 +232,6 @@ _SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
         "diagnosis": lambda v: None if isinstance(v, str) else "must be a string",
         "edits": _check_edits,
         "retest": lambda v: None if isinstance(v, bool) else "must be a boolean",
-    },
-    "layer2_benchmark": {
-        "with_skill_score": _check_number,
-        "baseline_score": _check_number,
-        "notes": lambda v: None if isinstance(v, str) else "must be a string",
     },
     "layer2_optimize": {
         "actions": _check_edits,
@@ -316,10 +290,6 @@ def validate_response(stage: str, raw_text: str) -> StageResponse:
     declared = set(schema) | set(_OPTIONAL_FIELDS.get(stage, ()))
     unknown = tuple(sorted(k for k in document if k not in declared))
     return StageResponse(stage=stage, fields=document, raw_text=raw_text, unknown_fields=unknown)
-
-
-def serialize_response(response: StageResponse) -> str:
-    return canonical_json(dict(response.fields))
 
 
 # -- providers ---------------------------------------------------------------------

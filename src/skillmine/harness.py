@@ -70,15 +70,6 @@ _BASE_ENV = {
 
 
 @dataclass
-class SandboxConfig:
-    base_dir: Path
-    timeout: float = DEFAULT_TIMEOUT
-    keep: bool = False
-    volatile_patterns: tuple[str, ...] = ()
-    extra_env: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class TestReport:
     skill_id: str
     layer: str
@@ -282,8 +273,7 @@ class ValidationHarness:
         self.reports_root = Path(reports_root)
         self.deterministic = deterministic
         self.keep_sandboxes = keep_sandboxes
-        # Bounds every sandboxed run, except an execution or repair run given
-        # its own SandboxConfig.
+        # Bounds every sandboxed run.
         self.timeout = timeout
 
     # -- plumbing ---------------------------------------------------------------
@@ -339,12 +329,10 @@ class ValidationHarness:
         atomic_write_text(path, dump_json_doc(report.to_record()))
         return report
 
-    def _artifacts_digest(self, sandbox: Path, volatile: Sequence[str]) -> str:
+    def _artifacts_digest(self, sandbox: Path) -> str:
         digest = hashlib.sha256()
         top = os.fspath(sandbox)
         for rel in walk_files(top):
-            if _matches_any(rel, volatile):
-                continue
             data = normalize_output_bytes(read_bytes_at(top, rel))
             digest.update(rel.encode("utf-8"))
             digest.update(b"\x00")
@@ -357,12 +345,11 @@ class ValidationHarness:
         self,
         package: SkillPackage,
         skill_id: str,
-        config: SandboxConfig | None = None,
         attempt: int = 1,
     ) -> TestReport:
-        """Run the smoke target in isolation; error is reserved for harness faults."""
-        config = config or SandboxConfig(base_dir=self.sandbox_root, timeout=self.timeout)
-        smoke = resolve_smoke_target(package, timeout=config.timeout)
+        """Run the smoke target in isolation, under ``self.timeout`` and
+        ``keep_sandboxes``; error is reserved for harness faults."""
+        smoke = resolve_smoke_target(package, timeout=self.timeout)
         if smoke is None:
             report = TestReport(
                 skill_id=skill_id,
@@ -380,9 +367,7 @@ class ValidationHarness:
         try:
             _copy_package(package.root_path, sandbox)
             workdir = sandbox / smoke.workdir
-            exit_status, log, duration = self._run(
-                smoke.argv(), workdir, smoke.timeout, config.extra_env
-            )
+            exit_status, log, duration = self._run(smoke.argv(), workdir, smoke.timeout)
         except HarnessError as exc:
             report = TestReport(
                 skill_id=skill_id,
@@ -404,11 +389,11 @@ class ValidationHarness:
             exit_status=exit_status,
             duration_seconds=duration,
             log_digest=sha256_hex(normalize_output_bytes(log)),
-            artifacts_digest=self._artifacts_digest(sandbox, config.volatile_patterns),
+            artifacts_digest=self._artifacts_digest(sandbox),
             verdict=verdict,
         )
         report = self._write_report(report, attempt)
-        if not config.keep:
+        if not self.keep_sandboxes:
             shutil.rmtree(sandbox, ignore_errors=True)
             # The layer and skill directories too, unless a repair's work
             # directory or another run is still in them; never the root.
@@ -428,19 +413,18 @@ class ValidationHarness:
         gateway,
         registry: Registry | None = None,
         cycle: int = 0,
-        config: SandboxConfig | None = None,
         promote: bool = True,
     ) -> RepairOutcome:
         """Fix-and-retest until the smoke target passes or the budget is spent.
 
         The budget counts execution attempts including the initial failure, so
         budget=3 allows at most two fix/retest rounds after the first fail.
+        Each retest is an ``execution_test`` of the repaired work copy.
         """
         if failing_report.verdict not in ("fail", "error"):
             raise HarnessError("repair_loop requires a failing or errored report")
         if budget < 1:
             raise HarnessError("repair budget must be >= 1")
-        config = config or SandboxConfig(base_dir=self.sandbox_root, timeout=self.timeout)
 
         workdir = self.sandbox_root / skill_id / "repair" / "work"
         if workdir.exists():
@@ -507,7 +491,7 @@ class ValidationHarness:
                     registry.transition_skill(skill_id, "repaired", cycle)
                 repaired_marked = True
 
-            report = self.execution_test(work_package, skill_id, config, attempt=attempt)
+            report = self.execution_test(work_package, skill_id, attempt=attempt)
             reports.append(report)
             if registry is not None:
                 registry.set_verification(
@@ -758,7 +742,7 @@ class ValidationHarness:
             exit_status=exit_status,
             duration_seconds=duration,
             log_digest=sha256_hex(normalize_output_bytes(log)),
-            artifacts_digest=self._artifacts_digest(sandbox, ()),
+            artifacts_digest=self._artifacts_digest(sandbox),
             verdict="pass" if exit_status == smoke.expected_exit else "fail",
             rendered_submission=submission,
         )

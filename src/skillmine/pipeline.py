@@ -3,9 +3,10 @@ skill_test -> refresh, plus prompt-driven single-skill design.
 
 Stages 1-4 append to the record logs, and they write files of their own:
 skill_build compiles candidate packages into ``skills/`` and skill_test writes
-verification reports under ``reports/verifications/``. Only refresh, and a
-design commit, write the tree snapshot (``tree.snapshot``), the compacted
-indexes (``index/``) and the ``site/.stale`` marker, under the writer lock.
+verification reports under ``reports/verifications/``. Only ``_commit_tree``,
+called by refresh and by a design commit, writes the tree snapshot
+(``tree.snapshot``), the compacted indexes (``index/``) and the
+``site/.stale`` marker, under the writer lock.
 A stage error aborts the cycle before refresh and leaves those untouched
 (``test_aborted_cycle_leaves_committed_state_untouched`` and
 ``test_stages_one_to_four_never_mutate_committed_state`` pin this); the
@@ -31,7 +32,6 @@ from .errors import (
 from .gateway import EffortProfile, Gateway, LiveProvider, MockProvider, StageResponse
 from .harness import (
     RepairOutcome,
-    SandboxConfig,
     SchedulerAdapter,
     SyntheticFixtures,
     SyntheticReport,
@@ -165,7 +165,6 @@ class _CycleScratch:
     untestable: list[str] = field(default_factory=list)
     proposed_edits: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    followups: list[dict] = field(default_factory=list)
 
 
 class Pipeline:
@@ -259,13 +258,6 @@ class Pipeline:
 
     def _now(self) -> float:
         return 0.0 if self.config.deterministic_clock else time.monotonic()
-
-    def _sandbox_config(self) -> SandboxConfig:
-        return SandboxConfig(
-            base_dir=self.harness.sandbox_root,
-            timeout=self.config.smoke_timeout,
-            keep=self.config.keep_sandboxes,
-        )
 
     def external_catalogs(self) -> dict[str, list[noveltymod.CatalogEntry]]:
         if self._external_catalogs is None:
@@ -372,20 +364,24 @@ class Pipeline:
             if len(ranked) > budget:
                 exhausted = True
             for _idx, row in ranked[:budget]:
-                receipt = self.registry.record_resource(
-                    ResourceEntry(
-                        id="",
-                        kind=row["kind"],
-                        locator=row["locator"],
-                        leaf_paths=[leaf],
-                        retrieved_cycle=self.state.cycle_index,
-                        authority_rank=int(row.get("authority_rank", 0)),
-                    )
-                )
-                self._scratch.resources.append((leaf, receipt.id))
+                self._scratch.resources.append((leaf, self._record_resource(row, leaf)))
                 recorded += 1
         summary = f"recorded={recorded}" + (" budget-exhausted" if exhausted else "")
         return response.digest(), summary
+
+    def _record_resource(self, row: dict, leaf: str) -> str:
+        """Record one provider-offered resource row under ``leaf``; returns its id."""
+        receipt = self.registry.record_resource(
+            ResourceEntry(
+                id="",
+                kind=row["kind"],
+                locator=row["locator"],
+                leaf_paths=[leaf],
+                retrieved_cycle=self.state.cycle_index,
+                authority_rank=int(row.get("authority_rank", 0)),
+            )
+        )
+        return receipt.id
 
     def _stage_skill_build(self, focus_branch: str | None) -> tuple[str, str]:
         del focus_branch
@@ -409,12 +405,12 @@ class Pipeline:
             )
             digests.append(response.digest())
             for candidate in response.fields["candidates"][: self.config.candidate_cap]:
-                if self._build_candidate(leaf, leaf_path, candidate):
+                if self._build_candidate(leaf, candidate):
                     built += 1
         digest = sha256_hex("".join(digests).encode("ascii")) if digests else sha256_hex(b"")
         return digest, f"built={built}"
 
-    def _build_candidate(self, leaf: str, leaf_path: treemod.NodePath, candidate: dict) -> bool:
+    def _build_candidate(self, leaf: str, candidate: dict) -> bool:
         name = candidate["name"]
         duplicate = any(
             e.leaf_path == leaf and e.name == name and e.status != "removed"
@@ -432,23 +428,35 @@ class Pipeline:
             self._scratch.notes.append(f"contract-violations: {name}: {'; '.join(violations)}")
             return False
 
-        taken = {e.id for e in self.registry.skills()} | {sid for _l, sid in self._scratch.built}
-        skill_id = skill_id_for(leaf, name, taken)
-        package_rel = f"skills/{leaf_slug_path(leaf_path)}/{skill_id}"
-        package = contractsmod.compile_package(
-            contract, dict(candidate.get("artifacts", {})), self.root / package_rel, name=name
-        )
-        findings = contractsmod.lint_package(package)
-        if findings:
-            self._scratch.notes.append(f"lint-findings: {skill_id}: {'; '.join(findings)}")
-            return False
-
         # Provenance links arrive as locators; map them onto recorded resource ids.
         provenance = []
         for link in contract.provenance_links:
             resource = self.registry.resource_by_locator(link)
             provenance.append(resource.id if resource else link)
 
+        package, entry = self._compile_skill(leaf, name, contract, candidate, provenance)
+        findings = contractsmod.lint_package(package)
+        if findings:
+            self._scratch.notes.append(f"lint-findings: {entry.id}: {'; '.join(findings)}")
+            return False
+        self.registry.upsert_skill(entry)
+        if not contract.test_commands:
+            self._scratch.notes.append(f"missing-tests: {entry.id}")
+        self._scratch.built.append((leaf, entry.id))
+        return True
+
+    def _compile_skill(
+        self, leaf: str, name: str, contract: contractsmod.SkillContract, document: dict,
+        provenance: list[str],
+    ) -> tuple[contractsmod.SkillPackage, SkillEntry]:
+        """Compile a new package for ``contract`` under ``leaf``, with the
+        artifacts ``document`` carries; returns it with its untested entry,
+        which the caller upserts."""
+        skill_id = skill_id_for(leaf, name, {e.id for e in self.registry.skills()})
+        package_rel = f"skills/{leaf_slug_path(treemod.parse_path(leaf))}/{skill_id}"
+        package = contractsmod.compile_package(
+            contract, dict(document.get("artifacts", {})), self.root / package_rel, name=name
+        )
         entry = SkillEntry(
             id=skill_id,
             name=name,
@@ -461,11 +469,7 @@ class Pipeline:
             updated_cycle=self.state.cycle_index,
             confidence="standard" if contract.test_commands else "starter",
         )
-        self.registry.upsert_skill(entry)
-        if not contract.test_commands:
-            self._scratch.notes.append(f"missing-tests: {skill_id}")
-        self._scratch.built.append((leaf, skill_id))
-        return True
+        return package, entry
 
     def _stage_skill_test(self, focus_branch: str | None) -> tuple[str, str]:
         """Run the candidates' validation on the pool; commit in build order.
@@ -517,7 +521,7 @@ class Pipeline:
         record is committed before it is raised.
         """
         package = contractsmod.load_package(self.root / package_path)
-        report = self.harness.execution_test(package, skill_id, self._sandbox_config(), attempt=1)
+        report = self.harness.execution_test(package, skill_id, attempt=1)
         layers = None
         if report.verdict == "pass":
             try:
@@ -542,7 +546,6 @@ class Pipeline:
             gateway=self.gateway,
             registry=self.registry,
             cycle=self.state.cycle_index,
-            config=self._sandbox_config(),
             promote=False,
         )
 
@@ -626,19 +629,7 @@ class Pipeline:
                     tree, description = applied
                     tree_edits.append(description)
 
-            violations = self.registry.integrity_check(tree)
-            if violations:
-                raise RefreshAbortedError(
-                    "refresh aborted by integrity violations: " + "; ".join(violations)
-                )
-
-            self.tree = tree
-            self.registry.save_tree(tree)
-            self.registry.compact_index(tree)
-            atomic_write_text(self.root / SITE_STALE_MARKER, "stale\n")
-            self._move_removed_to_graveyard()
-            if scratch.followups:
-                self._append_followups(scratch.followups)
+            self._commit_tree(tree, "refresh")
 
             promoted = [
                 s
@@ -776,6 +767,21 @@ class Pipeline:
             )
         return noveltymod.adjudicate(contract, matches, provider_response, skill_id=skill_id)
 
+    def _commit_tree(self, tree: treemod.DomainTree, what: str) -> None:
+        """Gate ``tree`` on ``integrity_check``, then write it, the indexes and
+        the stale-site marker and move removed packages to the graveyard.
+        The caller holds the writer lock; ``what`` names the commit."""
+        violations = self.registry.integrity_check(tree)
+        if violations:
+            raise RefreshAbortedError(
+                f"{what} aborted by integrity violations: " + "; ".join(violations)
+            )
+        self.tree = tree
+        self.registry.save_tree(tree)
+        self.registry.compact_index(tree)
+        atomic_write_text(self.root / SITE_STALE_MARKER, "stale\n")
+        self._move_removed_to_graveyard()
+
     def _move_removed_to_graveyard(self) -> None:
         import shutil
 
@@ -790,16 +796,6 @@ class Pipeline:
                 shutil.rmtree(target)
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.move(str(source), str(target))
-
-    def _append_followups(self, followups: list[dict]) -> None:
-        from .util import canonical_json
-
-        path = self.root / REPORTS_DIR / "followups.ndjson"
-        existing = path.read_bytes() if path.exists() else b""
-        lines = "".join(canonical_json(f) + "\n" for f in followups)
-        from .util import atomic_write_bytes
-
-        atomic_write_bytes(path, existing + lines.encode("utf-8"))
 
     # -- whole cycles --------------------------------------------------------------
 
@@ -883,17 +879,7 @@ class Pipeline:
             steps.append("resource_search skipped: provider signaled no extra resources needed")
         else:
             for row in resources_used[: self.config.search_budget]:
-                receipt = self.registry.record_resource(
-                    ResourceEntry(
-                        id="",
-                        kind=row["kind"],
-                        locator=row["locator"],
-                        leaf_paths=[row["leaf_path"]],
-                        retrieved_cycle=cycle,
-                        authority_rank=int(row.get("authority_rank", 0)),
-                    )
-                )
-                provenance_ids.append(receipt.id)
+                provenance_ids.append(self._record_resource(row, row["leaf_path"]))
             steps.append(f"resource_search recorded={len(provenance_ids)}")
 
         contract_doc = dict(response.fields["contract"])
@@ -902,31 +888,15 @@ class Pipeline:
         contract = contractsmod.parse_contract(contract_doc)
         name = contract_doc.get("name") or key
         leaf = response.fields.get("target_leaf") or self._default_design_leaf()
-        leaf_path = treemod.parse_path(leaf)
-
-        taken = {e.id for e in self.registry.skills()}
-        skill_id = skill_id_for(leaf, name, taken)
-        package_rel = f"skills/{leaf_slug_path(leaf_path)}/{skill_id}"
-        package = contractsmod.compile_package(
-            contract, dict(contract_doc.get("artifacts", {})), self.root / package_rel, name=name
+        package, entry = self._compile_skill(
+            leaf, name, contract, contract_doc, [*contract.provenance_links, *provenance_ids]
         )
-        self.registry.upsert_skill(
-            SkillEntry(
-                id=skill_id,
-                name=name,
-                leaf_path=leaf,
-                status="untested",
-                package_path=package_rel,
-                smoke_target=contract.test_commands[0] if contract.test_commands else None,
-                provenance=sorted(set(contract.provenance_links) | set(provenance_ids)),
-                created_cycle=cycle,
-                updated_cycle=cycle,
-                confidence="standard" if contract.test_commands else "starter",
-            )
-        )
+        skill_id = entry.id
+        self.registry.upsert_skill(entry)
         steps.append(f"skill_build {skill_id}")
 
-        report = self.harness.execution_test(package, skill_id, self._sandbox_config(), attempt=1)
+        # Unlike a cycle candidate, a design runs the execution layer only.
+        report = self.harness.execution_test(package, skill_id, attempt=1)
         repair = self._commit_and_repair(package, skill_id, report)
         if repair is not None:
             steps.append(f"skill_test repair attempts={repair.attempts}")
@@ -942,20 +912,10 @@ class Pipeline:
                 return design
         steps.append("skill_test pass")
 
-        # The verdict is applied through a refresh commit, the only committer.
         with self.registry.lock:
             verdict = self._adjudicate(skill_id)
             tree = noveltymod.apply_verdict(self.tree, self.registry, verdict, cycle)
-            violations = self.registry.integrity_check(tree)
-            if violations:
-                raise RefreshAbortedError(
-                    "design refresh aborted: " + "; ".join(violations)
-                )
-            self.tree = tree
-            self.registry.save_tree(tree)
-            self.registry.compact_index(tree)
-            atomic_write_text(self.root / SITE_STALE_MARKER, "stale\n")
-            self._move_removed_to_graveyard()
+            self._commit_tree(tree, "design")
         steps.append(f"novelty_check verdict={verdict.decision}")
 
         status = (

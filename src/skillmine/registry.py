@@ -339,8 +339,9 @@ class Registry:
 
     # -- loading --------------------------------------------------------------
 
-    def _read_records(self, name: str) -> list[dict]:
-        """Parse a log's committed records: the bytes up to its last newline.
+    def _read_records(self, name: str) -> list[tuple[int, dict]]:
+        """Parse a log's committed records, the bytes up to its last newline,
+        as ``(line number, record)`` pairs.
 
         A record is committed once its newline is in the file, and a record
         and its newline are written by one append, so an unterminated tail is
@@ -351,7 +352,7 @@ class Registry:
         that ``_append`` continues from.
         """
         path = self.root / name
-        records: list[dict] = []
+        records: list[tuple[int, dict]] = []
         try:
             with open(path, "rb") as handle:
                 # The key of the bytes read, taken before the read: a write
@@ -382,7 +383,7 @@ class Registry:
                 raise CorruptRecordError(name, line_no, str(exc)) from None
             if not isinstance(record, dict):
                 raise CorruptRecordError(name, line_no, "record is not an object")
-            records.append(record)
+            records.append((line_no, record))
         return records
 
     def _reload(self) -> None:
@@ -394,21 +395,21 @@ class Registry:
         self._locator_index.clear()
         self._verifications = []
         self._attempts = {}
-        for line_no, record in enumerate(self._read_records(SKILLS_FILE), start=1):
+        for line_no, record in self._read_records(SKILLS_FILE):
             try:
                 entry = SkillEntry.from_record(record)
             except KeyError as exc:
                 raise CorruptRecordError(SKILLS_FILE, line_no, f"missing field {exc}") from None
             self._skills[entry.id] = entry
             self._skill_history.setdefault(entry.id, []).append(record)
-        for line_no, record in enumerate(self._read_records(RESOURCES_FILE), start=1):
+        for line_no, record in self._read_records(RESOURCES_FILE):
             try:
                 entry = ResourceEntry.from_record(record)
             except KeyError as exc:
                 raise CorruptRecordError(RESOURCES_FILE, line_no, f"missing field {exc}") from None
             self._resources[entry.id] = entry
             self._locator_index[entry.locator] = entry.id
-        for line_no, record in enumerate(self._read_records(VERIFICATIONS_FILE), start=1):
+        for line_no, record in self._read_records(VERIFICATIONS_FILE):
             try:
                 self._add_verification(VerificationRecord.from_record(record))
             except KeyError as exc:
@@ -670,7 +671,9 @@ class Registry:
         """Library statistics; raises ``InconsistencyError`` at the first skill
         whose leaf is missing, or pruned while the skill is still live."""
         for entry in self.skills():
-            self._check_leaf_reference(entry, tree)
+            violation = self._leaf_violation(entry, tree)
+            if violation is not None:
+                raise InconsistencyError(violation)
         return self._stats(tree)
 
     def _stats(self, tree: treemod.DomainTree) -> LibraryStats:
@@ -695,16 +698,15 @@ class Registry:
             path = self._leaf_paths[text] = treemod.parse_path(text)
         return path
 
-    def _check_leaf_reference(self, entry: SkillEntry, tree: treemod.DomainTree) -> None:
+    def _leaf_violation(self, entry: SkillEntry, tree: treemod.DomainTree) -> str | None:
+        """Why ``entry``'s leaf reference is broken: its leaf is missing, or
+        pruned while the skill is still live. None when it is sound."""
         node = tree.nodes.get(self._leaf_path(entry.leaf_path))
         if node is None:
-            raise InconsistencyError(
-                f"skill {entry.id} references missing leaf {entry.leaf_path}"
-            )
+            return f"skill {entry.id} references missing leaf {entry.leaf_path}"
         if node.status == "pruned" and entry.status not in ("deprecated", "removed"):
-            raise InconsistencyError(
-                f"skill {entry.id} points at pruned leaf {entry.leaf_path} without deprecation"
-            )
+            return f"skill {entry.id} points at pruned leaf {entry.leaf_path} without deprecation"
+        return None
 
     def integrity_check(self, tree: treemod.DomainTree) -> list[str]:
         """Cross-reference and state-machine scan; violations are data.
@@ -716,13 +718,9 @@ class Registry:
         violations.extend(treemod.check_invariants(tree))
 
         for entry in self.skills():
-            node = tree.nodes.get(self._leaf_path(entry.leaf_path))
-            if node is None:
-                violations.append(f"skill {entry.id} references missing leaf {entry.leaf_path}")
-            elif node.status == "pruned" and entry.status not in ("deprecated", "removed"):
-                violations.append(
-                    f"skill {entry.id} points at pruned leaf {entry.leaf_path} without deprecation"
-                )
+            leaf_violation = self._leaf_violation(entry, tree)
+            if leaf_violation is not None:
+                violations.append(leaf_violation)
             history = self._skill_history.get(entry.id, [])
             if history:
                 if history[0]["status"] != "untested":

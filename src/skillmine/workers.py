@@ -1,4 +1,4 @@
-"""Parallel per-leaf workers, deterministic merge, and checkpointable campaigns.
+"""Per-leaf worker workspaces, deterministic merge, and checkpointable campaigns.
 
 Ownership partition: workers may write only under their leaf's
 ``skills/<leaf>/**`` and ``tests/<leaf>/**`` subtrees. Registry files, site
@@ -9,13 +9,12 @@ final state is independent of completion order.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import tree as treemod
 from .errors import (
@@ -264,91 +263,6 @@ def merge_worker_outputs(
     return result
 
 
-def run_leaf_workers(
-    pipeline: Pipeline,
-    leaf_paths: Sequence[treemod.NodePath],
-    worker_fn: Callable[[Workspace], None],
-    parallel: bool = True,
-) -> tuple[MergeResult, list[tuple[str, str]]]:
-    """Spawn, run, collect, and merge workers for a batch of leaves.
-
-    Returns the merge result plus (leaf, reason) rows for workers that crashed
-    or were rejected at collection.
-    """
-    workspaces = [spawn_workspace(pipeline.root, pipeline.tree, leaf) for leaf in leaf_paths]
-    failures: list[tuple[str, str]] = []
-
-    def execute(workspace: Workspace) -> None:
-        worker_fn(workspace)
-
-    if parallel and len(workspaces) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(workspaces)) as pool:
-            futures = {pool.submit(execute, ws): ws for ws in workspaces}
-            for future in concurrent.futures.as_completed(futures):
-                workspace = futures[future]
-                try:
-                    future.result()
-                except Exception as exc:
-                    discard_workspace(workspace)
-                    failures.append((treemod.format_path(workspace.leaf_path), str(exc)))
-    else:
-        for workspace in workspaces:
-            try:
-                execute(workspace)
-            except Exception as exc:
-                discard_workspace(workspace)
-                failures.append((treemod.format_path(workspace.leaf_path), str(exc)))
-
-    artifact_sets = []
-    for workspace in workspaces:
-        if workspace.status != "open":
-            continue
-        try:
-            artifact_sets.append(collect_leaf_artifacts(workspace))
-        except SharedFileWriteError as exc:
-            failures.append((treemod.format_path(workspace.leaf_path), str(exc)))
-        except WorkerError as exc:
-            failures.append((treemod.format_path(workspace.leaf_path), str(exc)))
-
-    result = merge_worker_outputs(pipeline.root, artifact_sets, registry=pipeline.registry)
-    if result.followups:
-        queued = pipeline._scratch.followups
-        queued.extend(result.followups)
-
-    for workspace in workspaces:
-        shutil.rmtree(workspace.isolated_root, ignore_errors=True)
-    return result, failures
-
-
-def provider_leaf_worker(pipeline: Pipeline) -> Callable[[Workspace], None]:
-    """The scripted worker: one parallel_leaf_stage call, then apply its files."""
-
-    def worker(workspace: Workspace) -> None:
-        leaf_text = treemod.format_path(workspace.leaf_path)
-        response = pipeline.gateway.call(
-            "parallel_leaf_stage",
-            {
-                "target_leaf": leaf_text,
-                "artifact_directory": str(workspace.isolated_root),
-                "repository_summary": pipeline.repository_summary(),
-            },
-            key=leaf_key(workspace.leaf_path),
-        )
-        for row in response.fields.get("files", []):
-            # An escaping path would land outside the workspace where the
-            # collection diff cannot see it; that worker is discarded instead.
-            if is_escaping_relpath(row["path"]):
-                raise WorkerError(f"worker file path escapes the workspace: {row['path']}")
-            target = workspace.isolated_root / row["path"]
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(row["content"], encoding="utf-8")
-        scratch = workspace.isolated_root / WORKER_SCRATCH
-        scratch.mkdir(exist_ok=True)
-        (scratch / "response.json").write_text(response.raw_text, encoding="utf-8")
-
-    return worker
-
-
 # -- campaigns ---------------------------------------------------------------------
 
 
@@ -359,7 +273,6 @@ class CampaignConfig:
     cycles_per_branch: int = 1
     eval_batch_size: int | None = None
     failure_halt_limit: int | None = None
-    mining_mode: str = "cycle"  # cycle | workers
 
     def phase_plan(self) -> list[tuple[str, str]]:
         plan: list[tuple[str, str]] = []
@@ -444,7 +357,6 @@ def checkpoint_campaign(
             "cycles_per_branch": config.cycles_per_branch,
             "eval_batch_size": config.eval_batch_size,
             "failure_halt_limit": config.failure_halt_limit,
-            "mining_mode": config.mining_mode,
         },
     )
     path = pipeline.root / CAMPAIGNS_DIR / config.campaign_id / "checkpoint.json"
@@ -535,19 +447,7 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
     return {"kind": "evaluation", "evaluated": batch, "outcomes": outcomes}
 
 
-def _mining_phase(pipeline: Pipeline, config: CampaignConfig, branch: str) -> dict:
-    if config.mining_mode == "workers":
-        focus = [treemod.parse_path(p) for p in pipeline._priority_paths(branch)]
-        result, failures = run_leaf_workers(
-            pipeline, focus, provider_leaf_worker(pipeline), parallel=True
-        )
-        return {
-            "kind": "mining-workers",
-            "branch": branch,
-            "merged": result.applied,
-            "excluded": result.excluded + failures,
-            "followups": len(result.followups),
-        }
+def _mining_phase(pipeline: Pipeline, branch: str) -> dict:
     report = pipeline.run_cycle(focus_branch=branch)
     return {
         "kind": "mining",
@@ -593,13 +493,16 @@ def resume_campaign(
         raise DigestMismatchError(f"campaign {campaign_id}: tree snapshot digest mismatch")
 
     stored = checkpoint.config
+    # Older checkpoints name their mining mode; campaigns mine by cycles only.
+    mode = stored.get("mining_mode", "cycle")
+    if mode != "cycle":
+        raise WorkerError(f"campaign {campaign_id}: unsupported mining mode {mode!r}")
     config = CampaignConfig(
         campaign_id=campaign_id,
         branch_schedule=tuple(stored["branch_schedule"]),
         cycles_per_branch=stored["cycles_per_branch"],
         eval_batch_size=stored.get("eval_batch_size"),
         failure_halt_limit=stored.get("failure_halt_limit"),
-        mining_mode=stored.get("mining_mode", "cycle"),
     )
     pipeline.state.cycle_index = checkpoint.cycle_index
     pipeline.state.pending_skills = tuple(checkpoint.pending_skills)
@@ -632,9 +535,8 @@ def _campaign_loop(
         kind, branch = plan[cursor]
         try:
             if kind == "mining":
-                record = _mining_phase(pipeline, config, branch)
-                if "cycle_index" in record:
-                    completed_cycles.append(record["cycle_index"])
+                record = _mining_phase(pipeline, branch)
+                completed_cycles.append(record["cycle_index"])
             else:
                 record = _evaluation_phase(pipeline, batch_size)
                 record["branch"] = branch

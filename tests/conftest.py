@@ -61,11 +61,6 @@ def campaign_script(fixtures_dir: Path) -> Path:
 
 
 @pytest.fixture
-def workers_script(fixtures_dir: Path) -> Path:
-    return fixtures_dir / "scripts" / "workers"
-
-
-@pytest.fixture
 def design_script(fixtures_dir: Path) -> Path:
     return fixtures_dir / "scripts" / "design"
 

@@ -17,7 +17,6 @@ from skillmine.errors import (
 from skillmine.gateway import Gateway, MockProvider
 from skillmine.harness import (
     BenchmarkCase,
-    SandboxConfig,
     SchedulerAdapter,
     SyntheticFixtures,
     ValidationHarness,
@@ -80,10 +79,10 @@ def test_execution_fail_records_log_digest(tmp_path, harness):
     assert len(report.log_digest) == 64
 
 
-def test_execution_timeout_is_a_fail(tmp_path, harness):
+def test_execution_timeout_is_a_fail(tmp_path):
     package = make_timeout_package(tmp_path / "pkgs")
-    config = SandboxConfig(base_dir=harness.sandbox_root, timeout=0.5)
-    report = harness.execution_test(package, "fixture-slow", config)
+    harness = ValidationHarness(tmp_path / "sandbox", tmp_path / "reports", timeout=0.5)
+    report = harness.execution_test(package, "fixture-slow")
     assert report.verdict == "fail"
     assert report.exit_status is None
 

@@ -13,7 +13,7 @@ from skillmine import harness as harnessmod
 from skillmine import novelty as noveltymod
 from skillmine import tree as treemod
 from skillmine.contracts import SkillContract, compile_package, load_package
-from skillmine.errors import OutOfOrderStageError, RefreshAbortedError
+from skillmine.errors import OutOfOrderStageError, PipelineError, RefreshAbortedError
 from skillmine.harness import ValidationHarness
 from skillmine.pipeline import STAGE_ORDER, Pipeline
 from skillmine.registry import Registry, SkillEntry, VerificationRecord
@@ -462,6 +462,11 @@ def test_config_effort_overrides_reach_the_gateway(tmp_path, campaign_script):
     assert engine.gateway.profile.entry("tree_check")[1] == "medium"
 
 
+def test_effort_override_naming_a_stage_kind_nothing_calls_is_refused(tmp_path, campaign_script):
+    with pytest.raises(PipelineError, match="unknown stage 'refresh'"):
+        make_engine(tmp_path / "library", campaign_script, efforts=("refresh:big-model:high",))
+
+
 # -- design mode -----------------------------------------------------------------------
 
 
@@ -482,6 +487,27 @@ def test_design_skill_golden_run(tmp_path, design_script):
     ]
     archived = engine.root / "reports" / "design" / "annotate-cell-types-in-spatial-data.json"
     assert archived.is_file()
+
+
+def test_design_commit_aborted_by_integrity_leaves_committed_state(
+    tmp_path, design_script, monkeypatch
+):
+    engine = make_engine(tmp_path / "library", design_script)
+    assert engine.design_skill("No extra resources").status == "verified"
+    stale = engine.root / "site" / ".stale"
+    stale.unlink()  # as an export of the site does
+    tree_bytes = (engine.root / "tree.snapshot").read_bytes()
+    index_digest = digest_dir(engine.root / "index")
+
+    monkeypatch.setattr(
+        Registry, "integrity_check", lambda self, tree: ["injected violation"], raising=True
+    )
+    with pytest.raises(RefreshAbortedError, match="^design aborted by integrity violations: "):
+        engine.design_skill("Annotate cell types in spatial data")
+
+    assert (engine.root / "tree.snapshot").read_bytes() == tree_bytes
+    assert digest_dir(engine.root / "index") == index_digest
+    assert not stale.exists()
 
 
 def test_design_skill_skips_search_when_provider_signals(tmp_path, design_script):

@@ -109,6 +109,15 @@ def test_corrupt_record_names_file_and_line(tmp_path):
     assert excinfo.value.line == 4
 
 
+def test_record_missing_a_field_is_named_by_its_line_not_its_position(tmp_path):
+    root = tmp_path / "library"
+    root.mkdir()
+    (root / "skills.ndjson").write_text('\n\n{"id": "x"}\n', encoding="utf-8")
+    with pytest.raises(CorruptRecordError, match="missing field") as excinfo:
+        open_registry(root)
+    assert excinfo.value.line == 3
+
+
 @pytest.mark.parametrize(
     "tail",
     [

@@ -14,6 +14,7 @@ from skillmine.errors import (
     DigestMismatchError,
     DuplicateWorkspaceError,
     SharedFileWriteError,
+    WorkerError,
 )
 from skillmine.pipeline import Pipeline
 from skillmine.workers import (
@@ -23,10 +24,8 @@ from skillmine.workers import (
     is_leaf_owned,
     load_checkpoint,
     merge_worker_outputs,
-    provider_leaf_worker,
     resume_campaign,
     run_campaign,
-    run_leaf_workers,
     spawn_workspace,
     state_digest,
 )
@@ -213,64 +212,6 @@ def test_rejected_shared_write_leaves_main_digest_unchanged(engine):
     assert state_digest(engine.root) == before
 
 
-# -- scripted leaf workers ------------------------------------------------------------
-
-
-def test_run_leaf_workers_with_scripted_responses(tmp_path, workers_script):
-    engine = make_engine(tmp_path / "library", workers_script)
-    leaves = [p(l) for l in LEAVES]
-    result, failures = run_leaf_workers(engine, leaves, provider_leaf_worker(engine), parallel=True)
-    assert failures == []
-    assert result.applied == sorted(LEAVES)
-    assert len(result.followups) == 4
-    for leaf_text in LEAVES:
-        slug = "/".join(s.replace("_", "-") for s in leaf_text.split("/"))
-        assert (engine.root / f"skills/{slug}/worker-notes.md").is_file()
-
-
-def test_scripted_worker_writing_registry_is_rejected(tmp_path, workers_script):
-    engine = make_engine(tmp_path / "library", workers_script)
-    before = state_digest(engine.root)
-    bad_leaf = p("science/imaging/visualization/plot-rendering")
-    result, failures = run_leaf_workers(
-        engine, [bad_leaf], provider_leaf_worker(engine), parallel=False
-    )
-    assert result.applied == []
-    assert len(failures) == 1
-    assert "skills.ndjson" in failures[0][1]
-    assert state_digest(engine.root) == before
-
-
-def test_scripted_worker_with_escaping_file_path_is_discarded(tmp_path, workers_script):
-    import json as jsonlib
-
-    script = tmp_path / "script"
-    script.mkdir()
-    for path in workers_script.glob("*.json"):
-        (script / path.name).write_bytes(path.read_bytes())
-    key = "science--genomics--alignment--short-read-alignment"
-    (script / f"parallel_leaf_stage__{key}__1.json").write_text(
-        jsonlib.dumps(
-            {
-                "files": [{"path": "../../skills.ndjson", "content": "tampered\n"}],
-                "repo_changes": [],
-                "blockers": [],
-                "next_steps": [],
-            }
-        )
-    )
-    engine = make_engine(tmp_path / "library", script)
-    before = state_digest(engine.root)
-    result, failures = run_leaf_workers(
-        engine, [p(LEAVES[0])], provider_leaf_worker(engine), parallel=False
-    )
-    assert result.applied == []
-    assert len(failures) == 1
-    assert "escapes the workspace" in failures[0][1]
-    assert state_digest(engine.root) == before
-    assert (engine.root / "skills.ndjson").read_text() == ""
-
-
 # -- campaigns --------------------------------------------------------------------------
 
 
@@ -422,21 +363,6 @@ def test_campaign_halts_after_consecutive_failures(tmp_path, campaign_script):
     assert len(failed) == 2
 
 
-def test_campaign_workers_mining_mode(tmp_path, workers_script):
-    engine = make_engine(tmp_path / "library", workers_script)
-    config = CampaignConfig(
-        campaign_id="workerized",
-        branch_schedule=(GENOMICS,),
-        cycles_per_branch=1,
-        mining_mode="workers",
-    )
-    report = run_campaign(engine, config)
-    assert report.status == "completed"
-    mining = report.mining_phases[0]
-    assert mining["kind"] == "mining-workers"
-    assert len(mining["merged"]) == 3  # the three genomics leaves
-
-
 # -- checkpoints ---------------------------------------------------------------------
 
 
@@ -491,3 +417,41 @@ def test_site_exported_into_the_library_does_not_break_resume(tmp_path, campaign
     resumed = resume_campaign(Pipeline(engine.config), "camp")
     assert resumed.status == "completed"
     assert state_digest(engine.root) == straight_digest
+
+
+def _store_mining_mode(engine, campaign_id, mode):
+    """Rewrite the checkpoint's stored mining mode; the digests do not cover it."""
+    path = engine.root / "campaigns" / campaign_id / "checkpoint.json"
+    record = json.loads(path.read_text("utf-8"))
+    assert "mining_mode" not in record["config"]
+    record["config"]["mining_mode"] = mode
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_resume_accepts_a_checkpoint_that_names_the_cycle_mode(tmp_path, campaign_script):
+    config = campaign_config(cycles=1)
+    baseline = make_engine(tmp_path / "straight" / "library", campaign_script)
+    run_campaign(baseline, config)
+
+    engine = make_engine(tmp_path / "older" / "library", campaign_script)
+    assert run_campaign(engine, config, stop_after_phases=1).status == "interrupted"
+    _store_mining_mode(engine, "camp", "cycle")
+    resumed = resume_campaign(Pipeline(engine.config), "camp")
+    assert resumed.status == "completed"
+    assert state_digest(engine.root) == state_digest(baseline.root)
+
+
+def test_resume_refuses_a_checkpoint_of_another_mining_mode(tmp_path, campaign_script):
+    engine = make_engine(tmp_path / "library", campaign_script)
+    partial = run_campaign(engine, campaign_config(cycles=1), stop_after_phases=1)
+    assert partial.status == "interrupted"
+    _store_mining_mode(engine, "camp", "workers")
+    before = state_digest(engine.root)
+    with pytest.raises(WorkerError, match="'workers'"):
+        resume_campaign(Pipeline(engine.config), "camp")
+    assert state_digest(engine.root) == before
+
+    # The digest check comes first: drifted state is refused as such.
+    (engine.root / "stray-edit.txt").write_text("edited behind the campaign's back\n")
+    with pytest.raises(DigestMismatchError):
+        resume_campaign(Pipeline(engine.config), "camp")
