@@ -56,6 +56,9 @@ def leaf_owned_prefixes(leaf_path: treemod.NodePath) -> tuple[str, str]:
 
 
 def is_leaf_owned(rel_path: str, leaf_path: treemod.NodePath) -> bool:
+    # A ".." part can climb out of the leaf subtree while keeping its prefix.
+    if ".." in rel_path.split("/"):
+        return False
     return any(
         rel_path == prefix or rel_path.startswith(prefix + "/")
         for prefix in leaf_owned_prefixes(leaf_path)

@@ -8,6 +8,8 @@ import urllib.error
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillmine import gateway as gatewaymod
 from skillmine.errors import (
@@ -111,6 +113,19 @@ def test_unknown_fields_preserved_but_flagged():
     response = validate_response("tree_check", raw)
     assert response.fields["surprise"] == 1
     assert response.unknown_fields == ("surprise",)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    leaves=st.lists(st.text(alphabet="ab/", min_size=1, max_size=8), max_size=4),
+    rationale=st.text(max_size=40),
+)
+def test_validate_after_serialize_is_identity(leaves, rationale):
+    raw = json.dumps({"focus_leaves": leaves, "rationale": rationale})
+    response = validate_response("tree_check", raw)
+    again = validate_response("tree_check", json.dumps(dict(response.fields)))
+    assert dict(again.fields) == dict(response.fields)
+    assert again.unknown_fields == response.unknown_fields
 
 
 MINIMAL_VALID = {

@@ -13,6 +13,7 @@ from skillmine import tree as treemod
 from skillmine.errors import (
     DigestMismatchError,
     DuplicateWorkspaceError,
+    MergeCollisionError,
     SharedFileWriteError,
     WorkerError,
 )
@@ -209,6 +210,72 @@ def test_rejected_shared_write_leaves_main_digest_unchanged(engine):
     with pytest.raises(SharedFileWriteError):
         collect_leaf_artifacts(workspace)
     shutil.rmtree(workspace.isolated_root)
+    assert state_digest(engine.root) == before
+
+
+def test_unparseable_stage_response_discards_the_workspace(engine):
+    workspace = spawn_workspace(engine.root, engine.tree, p(LEAVES[0]))
+    scratch = workspace.isolated_root / ".worker"
+    scratch.mkdir()
+    (scratch / "response.json").write_text(json.dumps({"repo_changes": [], "next_steps": []}))
+    with pytest.raises(WorkerError, match="unparseable stage response"):
+        collect_leaf_artifacts(workspace)
+    assert workspace.status == "discarded"
+    with pytest.raises(WorkerError, match="is not open"):
+        collect_leaf_artifacts(workspace)
+
+
+def test_spawn_refuses_a_node_that_is_not_a_leaf(engine):
+    with pytest.raises(WorkerError, match="is not an active leaf"):
+        spawn_workspace(engine.root, engine.tree, p(GENOMICS))
+    assert not (engine.root / "workspaces").exists()
+
+
+def _scripted_set(root, leaf_text, rel, content):
+    """An artifact set as a scripted worker declares it, staged under ``root``."""
+    target = root / rel
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(content)
+    return ArtifactSet(
+        leaf_path=p(leaf_text), files=[(rel, "digest")], stage_response={}, source_root=root
+    )
+
+
+def test_scripted_worker_with_escaping_file_path_is_discarded(tmp_path, engine):
+    before = state_digest(engine.root)
+    staged = tmp_path / "staged" / "workspace"
+    escaping = _scripted_set(staged, LEAVES[0], "../../skills.ndjson", "tampered\n")
+    result = merge_worker_outputs(engine.root, [escaping], registry=engine.registry)
+    assert result.applied == []
+    assert len(result.excluded) == 1
+    assert "escaping" in result.excluded[0][1]
+    assert state_digest(engine.root) == before
+    assert (engine.root / "skills.ndjson").read_text() == ""
+
+
+def test_merge_refuses_a_path_that_climbs_out_of_its_leaf_subtree(tmp_path, engine):
+    slug = "skills/science/genomics/alignment/short-read-alignment"
+    climbing = f"{slug}/../../../../../skills.ndjson"  # lands on the root registry
+    assert not is_leaf_owned(climbing, p(LEAVES[0]))
+    before = state_digest(engine.root)
+    staged = tmp_path / "staged"
+    clean = _scripted_set(staged / "clean", LEAVES[1], f"skills/{LEAVES[1]}/notes.md", "ok\n")
+    bad = _scripted_set(staged / "bad", LEAVES[0], climbing, "x\n")
+    result = merge_worker_outputs(engine.root, [bad, clean], registry=engine.registry)
+    assert result.applied == [LEAVES[1]]
+    assert [leaf for leaf, _reason in result.excluded] == [LEAVES[0]]
+    assert (engine.root / "skills.ndjson").read_text() == ""
+    assert (engine.root / f"skills/{LEAVES[1]}/notes.md").read_text() == "ok\n"
+    assert state_digest(engine.root) != before
+
+
+def test_merge_of_two_sets_writing_one_path_is_an_invariant_failure(tmp_path, engine):
+    before = state_digest(engine.root)
+    rel = f"skills/{LEAVES[0]}/notes.md"
+    first = _scripted_set(tmp_path / "first", LEAVES[0], rel, "first\n")
+    second = _scripted_set(tmp_path / "second", LEAVES[0], rel, "second\n")
+    with pytest.raises(MergeCollisionError, match="written by both"):
+        merge_worker_outputs(engine.root, [first, second], registry=engine.registry)
     assert state_digest(engine.root) == before
 
 
