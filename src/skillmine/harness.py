@@ -38,6 +38,9 @@ from .errors import (
 )
 from .registry import Registry, VerificationRecord
 from .util import (
+    NOT_WRITTEN,
+    OMIT_NONE,
+    Record,
     atomic_write_text,
     dump_json_doc,
     file_manifest,
@@ -70,7 +73,7 @@ _BASE_ENV = {
 
 
 @dataclass
-class TestReport:
+class TestReport(Record):
     skill_id: str
     layer: str
     command: str
@@ -79,43 +82,32 @@ class TestReport:
     log_digest: str
     artifacts_digest: str
     verdict: str
-    rendered_submission: str | None = None
-    report_locator: str = ""
+    rendered_submission: str | None = field(default=None, metadata=OMIT_NONE)
+    # Where the report was written: known only once it is, so not in it.
+    report_locator: str = field(default="", metadata=NOT_WRITTEN)
 
-    def to_record(self) -> dict:
-        record = {
-            "skill_id": self.skill_id,
-            "layer": self.layer,
-            "command": self.command,
-            "exit_status": self.exit_status,
-            "duration_seconds": self.duration_seconds,
-            "log_digest": self.log_digest,
-            "artifacts_digest": self.artifacts_digest,
-            "verdict": self.verdict,
-        }
-        if self.rendered_submission is not None:
-            record["rendered_submission"] = self.rendered_submission
-        return record
+    def verification_record(self, attempt: int, cycle: int) -> VerificationRecord:
+        """The registry's record of this report. A verdict that is neither
+        pass nor fail, a harness fault, is an error outcome."""
+        return VerificationRecord(
+            skill_id=self.skill_id,
+            layer=self.layer,
+            outcome=self.verdict if self.verdict in ("pass", "fail") else "error",
+            attempt=attempt,
+            report_locator=self.report_locator,
+            cycle=cycle,
+        )
 
 
 @dataclass
-class SyntheticReport:
+class SyntheticReport(Record):
     skill_id: str
     contract_coverage: dict
     stability: str
     run_digests: tuple[str, str]
-    error: str | None = None
+    error: str | None = field(default=None, metadata=OMIT_NONE)
 
-    def to_record(self) -> dict:
-        record = {
-            "skill_id": self.skill_id,
-            "contract_coverage": self.contract_coverage,
-            "stability": self.stability,
-            "run_digests": list(self.run_digests),
-        }
-        if self.error is not None:
-            record["error"] = self.error
-        return record
+    layer = "synthetic"  # a class attribute, not a field, so not written
 
     @property
     def coverage_gaps(self) -> list[str]:
@@ -142,16 +134,6 @@ class BenchmarkReport:
     skill_id: str
     cases: list[tuple[str, float, float]]
     margin: float
-
-    def to_record(self) -> dict:
-        return {
-            "skill_id": self.skill_id,
-            "cases": [
-                {"case_id": c, "with_skill_score": w, "baseline_score": b}
-                for c, w, b in self.cases
-            ],
-            "margin": self.margin,
-        }
 
     def is_weak(self, threshold: float = DEFAULT_ADVANTAGE_THRESHOLD) -> bool:
         return self.margin < threshold
@@ -322,11 +304,31 @@ class ValidationHarness:
         duration = 0.0 if self.deterministic else time.monotonic() - start
         return exit_status, log, duration
 
-    def _write_report(self, report: TestReport, attempt: int) -> TestReport:
+    def _write_report(self, report: TestReport | SyntheticReport, attempt: int) -> str:
+        """Write the report to ``verifications/<skill>/<layer>/attempt-<n>.json``
+        under the report root; returns its locator in the library."""
         rel = Path("verifications") / report.skill_id / report.layer / f"attempt-{attempt}.json"
-        path = self.reports_root / rel
-        report.report_locator = (Path("reports") / rel).as_posix()
-        atomic_write_text(path, dump_json_doc(report.to_record()))
+        atomic_write_text(self.reports_root / rel, dump_json_doc(report.to_record()))
+        return (Path("reports") / rel).as_posix()
+
+    def _report_without_run(
+        self, skill_id: str, layer: str, command: str, message: str, verdict: str,
+        attempt: int, submission: str | None = None,
+    ) -> TestReport:
+        """The written report of a validation that ran nothing: the digest of
+        ``message``, which says why, stands in for the log's."""
+        report = TestReport(
+            skill_id=skill_id,
+            layer=layer,
+            command=command,
+            exit_status=None,
+            duration_seconds=0.0,
+            log_digest=sha256_hex(message.encode("utf-8")),
+            artifacts_digest="",
+            verdict=verdict,
+            rendered_submission=submission,
+        )
+        report.report_locator = self._write_report(report, attempt)
         return report
 
     def _artifacts_digest(self, sandbox: Path) -> str:
@@ -351,17 +353,9 @@ class ValidationHarness:
         ``keep_sandboxes``; error is reserved for harness faults."""
         smoke = resolve_smoke_target(package, timeout=self.timeout)
         if smoke is None:
-            report = TestReport(
-                skill_id=skill_id,
-                layer="execution",
-                command="",
-                exit_status=None,
-                duration_seconds=0.0,
-                log_digest=sha256_hex(b"[no smoke target]"),
-                artifacts_digest="",
-                verdict="error",
+            return self._report_without_run(
+                skill_id, "execution", "", "[no smoke target]", "error", attempt
             )
-            return self._write_report(report, attempt)
 
         sandbox = self._sandbox(skill_id, "execution", attempt)
         try:
@@ -369,17 +363,9 @@ class ValidationHarness:
             workdir = sandbox / smoke.workdir
             exit_status, log, duration = self._run(smoke.argv(), workdir, smoke.timeout)
         except HarnessError as exc:
-            report = TestReport(
-                skill_id=skill_id,
-                layer="execution",
-                command=smoke.command,
-                exit_status=None,
-                duration_seconds=0.0,
-                log_digest=sha256_hex(str(exc).encode("utf-8")),
-                artifacts_digest="",
-                verdict="error",
+            return self._report_without_run(
+                skill_id, "execution", smoke.command, str(exc), "error", attempt
             )
-            return self._write_report(report, attempt)
 
         verdict = "pass" if exit_status == smoke.expected_exit else "fail"
         report = TestReport(
@@ -392,7 +378,7 @@ class ValidationHarness:
             artifacts_digest=self._artifacts_digest(sandbox),
             verdict=verdict,
         )
-        report = self._write_report(report, attempt)
+        report.report_locator = self._write_report(report, attempt)
         if not self.keep_sandboxes:
             shutil.rmtree(sandbox, ignore_errors=True)
             # The layer and skill directories too, unless a repair's work
@@ -453,58 +439,22 @@ class ValidationHarness:
             rejected = [e["path"] for e in edits if is_escaping_relpath(e["path"])]
             if rejected:
                 # A rejected edit consumes the attempt without a rerun.
-                report = TestReport(
-                    skill_id=skill_id,
-                    layer="execution",
-                    command=failing_report.command,
-                    exit_status=None,
-                    duration_seconds=0.0,
-                    log_digest=sha256_hex(
-                        f"edit rejected (path escape): {', '.join(rejected)}".encode("utf-8")
-                    ),
-                    artifacts_digest="",
-                    verdict="error",
+                message = f"edit rejected (path escape): {', '.join(rejected)}"
+                report = self._report_without_run(
+                    skill_id, "execution", failing_report.command, message, "error", attempt
                 )
-                report = self._write_report(report, attempt)
-                reports.append(report)
-                if registry is not None:
-                    registry.set_verification(
-                        skill_id,
-                        VerificationRecord(
-                            skill_id=skill_id,
-                            layer="execution",
-                            outcome="error",
-                            attempt=attempt,
-                            report_locator=report.report_locator,
-                            cycle=cycle,
-                        ),
-                        promote=promote,
-                    )
-                last_log = "previous edit rejected: path escaped the package root"
-                continue
-
-            for edit in edits:
-                target = workdir / edit["path"]
-                atomic_write_text(target, edit["content"])
-            if registry is not None and not repaired_marked:
-                if registry.skill(skill_id).status == "untested":
-                    registry.transition_skill(skill_id, "repaired", cycle)
-                repaired_marked = True
-
-            report = self.execution_test(work_package, skill_id, attempt=attempt)
+            else:
+                for edit in edits:
+                    atomic_write_text(workdir / edit["path"], edit["content"])
+                if registry is not None and not repaired_marked:
+                    if registry.skill(skill_id).status == "untested":
+                        registry.transition_skill(skill_id, "repaired", cycle)
+                    repaired_marked = True
+                report = self.execution_test(work_package, skill_id, attempt=attempt)
             reports.append(report)
             if registry is not None:
                 registry.set_verification(
-                    skill_id,
-                    VerificationRecord(
-                        skill_id=skill_id,
-                        layer="execution",
-                        outcome=report.verdict if report.verdict in ("pass", "fail") else "error",
-                        attempt=attempt,
-                        report_locator=report.report_locator,
-                        cycle=cycle,
-                    ),
-                    promote=promote,
+                    skill_id, report.verification_record(attempt, cycle), promote=promote
                 )
             if report.verdict == "pass":
                 # Persist the repaired surface back into the real package.
@@ -512,7 +462,11 @@ class ValidationHarness:
                 shutil.copytree(workdir, package.root_path)
                 self._discard(skill_id)
                 return RepairOutcome(outcome="repaired", attempts=attempt, reports=reports)
-            last_log = f"verdict={report.verdict} exit={report.exit_status}"
+            last_log = (
+                "previous edit rejected: path escaped the package root"
+                if rejected
+                else f"verdict={report.verdict} exit={report.exit_status}"
+            )
 
         if registry is not None:
             registry.transition_skill(skill_id, "removed", cycle)
@@ -545,7 +499,7 @@ class ValidationHarness:
                 run_digests=("", ""),
                 error="no invocation available for synthetic testing",
             )
-            self._persist_synthetic(report, attempt)
+            self._write_report(report, attempt)
             return report
 
         values: dict[str, str] = {}
@@ -581,7 +535,7 @@ class ValidationHarness:
                 run_digests=("", ""),
                 error=str(exc),
             )
-            self._persist_synthetic(report, attempt)
+            self._write_report(report, attempt)
             return report
 
         stability = "stable" if digest_a == digest_b else "unstable"
@@ -598,7 +552,7 @@ class ValidationHarness:
             stability=stability,
             run_digests=(digest_a, digest_b),
         )
-        self._persist_synthetic(report, attempt)
+        self._write_report(report, attempt)
         self._discard(skill_id)
         return report
 
@@ -607,10 +561,6 @@ class ValidationHarness:
             "inputs": {i.name: "ignored" for i in contract.inputs},
             "outputs": {o.name: "missing" for o in contract.outputs},
         }
-
-    def _persist_synthetic(self, report: SyntheticReport, attempt: int) -> None:
-        rel = Path("verifications") / report.skill_id / "synthetic" / f"attempt-{attempt}.json"
-        atomic_write_text(self.reports_root / rel, dump_json_doc(report.to_record()))
 
     @staticmethod
     def _default_value(item) -> str:
@@ -711,20 +661,10 @@ class ValidationHarness:
         submission = adapter.render_submission(job_name, smoke.command, ntasks)
 
         if ntasks > adapter.max_tasks:
-            report = TestReport(
-                skill_id=skill_id,
-                layer="system",
-                command=smoke.command,
-                exit_status=None,
-                duration_seconds=0.0,
-                log_digest=sha256_hex(
-                    f"queue rejection: ntasks={ntasks} exceeds max={adapter.max_tasks}".encode()
-                ),
-                artifacts_digest="",
-                verdict="fail",
-                rendered_submission=submission,
+            message = f"queue rejection: ntasks={ntasks} exceeds max={adapter.max_tasks}"
+            return self._report_without_run(
+                skill_id, "system", smoke.command, message, "fail", attempt, submission
             )
-            return self._write_report(report, attempt)
 
         sandbox = self._sandbox(skill_id, "system", attempt)
         _copy_package(package.root_path, sandbox)
@@ -746,7 +686,7 @@ class ValidationHarness:
             verdict="pass" if exit_status == smoke.expected_exit else "fail",
             rendered_submission=submission,
         )
-        report = self._write_report(report, attempt)
+        report.report_locator = self._write_report(report, attempt)
         self._discard(skill_id)
         return report
 

@@ -44,11 +44,10 @@ from .registry import (
     Registry,
     ResourceEntry,
     SkillEntry,
-    VerificationRecord,
     open_registry,
     skill_id_for,
 )
-from .util import atomic_write_text, dump_json_doc, sha256_hex, slugify
+from .util import Record, atomic_write_text, dump_json_doc, sha256_hex, slugify
 
 STAGE_ORDER = ("tree_check", "resource_search", "skill_build", "skill_test", "refresh")
 
@@ -66,62 +65,23 @@ def leaf_key(path: treemod.NodePath) -> str:
 
 
 @dataclass
-class StageOutcome:
+class StageOutcome(Record):
     stage: str
     digest: str
     duration_seconds: float
     summary: str
 
-    def to_record(self) -> dict:
-        return {
-            "stage": self.stage,
-            "digest": self.digest,
-            "duration_seconds": self.duration_seconds,
-            "summary": self.summary,
-        }
-
 
 @dataclass
-class CycleReport:
+class CycleReport(Record):
     cycle_index: int
-    stages: list[StageOutcome] = field(default_factory=list)
+    stages: list[StageOutcome] = field(default_factory=list, metadata={"record": StageOutcome})
     skills_created: list[str] = field(default_factory=list)
     skills_verified: list[str] = field(default_factory=list)
     skills_removed: list[str] = field(default_factory=list)
     tree_edits: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     focus_branch: str | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "cycle_index": self.cycle_index,
-            "stages": [s.to_record() for s in self.stages],
-            "skills_created": self.skills_created,
-            "skills_verified": self.skills_verified,
-            "skills_removed": self.skills_removed,
-            "tree_edits": self.tree_edits,
-            "notes": self.notes,
-            "focus_branch": self.focus_branch,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CycleReport":
-        report = cls(cycle_index=record["cycle_index"], focus_branch=record.get("focus_branch"))
-        report.stages = [
-            StageOutcome(
-                stage=s["stage"],
-                digest=s["digest"],
-                duration_seconds=s["duration_seconds"],
-                summary=s["summary"],
-            )
-            for s in record["stages"]
-        ]
-        report.skills_created = list(record.get("skills_created", []))
-        report.skills_verified = list(record.get("skills_verified", []))
-        report.skills_removed = list(record.get("skills_removed", []))
-        report.tree_edits = list(record.get("tree_edits", []))
-        report.notes = list(record.get("notes", []))
-        return report
 
 
 @dataclass
@@ -130,27 +90,16 @@ class PipelineState:
     stage_cursor: str | None = None  # last completed stage; None means idle
     focus_leaves: tuple[str, ...] = ()
     pending_skills: tuple[str, ...] = ()
-    budgets: dict = field(default_factory=dict)
 
 
 @dataclass
-class DesignReport:
+class DesignReport(Record):
     task_prompt: str
     skill_id: str | None
     status: str  # verified | failed
     resource_search_skipped: bool
     steps: list[str] = field(default_factory=list)
     verdict: str | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "task_prompt": self.task_prompt,
-            "skill_id": self.skill_id,
-            "status": self.status,
-            "resource_search_skipped": self.resource_search_skipped,
-            "steps": self.steps,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass
@@ -198,13 +147,7 @@ class Pipeline:
             keep_sandboxes=config.keep_sandboxes,
             timeout=config.smoke_timeout,
         )
-        self.state = PipelineState(
-            budgets={
-                "search_budget": config.search_budget,
-                "repair_attempts": config.repair_attempts,
-                "optimize_attempts": config.optimize_attempts,
-            }
-        )
+        self.state = PipelineState()
         self._scratch = _CycleScratch()
         self._external_catalogs: dict[str, list[noveltymod.CatalogEntry]] | None = None
         # Novelty inputs kept for the life of the pipeline: the external
@@ -580,16 +523,7 @@ class Pipeline:
 
     def _commit_report(self, skill_id: str, report: TestReport, attempt: int) -> None:
         self.registry.set_verification(
-            skill_id,
-            VerificationRecord(
-                skill_id=skill_id,
-                layer=report.layer,
-                outcome=report.verdict if report.verdict in ("pass", "fail") else "error",
-                attempt=attempt,
-                report_locator=report.report_locator,
-                cycle=self.state.cycle_index,
-            ),
-            promote=False,
+            skill_id, report.verification_record(attempt, self.state.cycle_index), promote=False
         )
 
     def _stage_refresh(self, focus_branch: str | None) -> tuple[str, str]:

@@ -32,7 +32,7 @@ from .errors import (
     RegistryError,
     UnknownSkillError,
 )
-from .util import atomic_write_text, canonical_json, dump_json_doc, slugify
+from .util import OMIT_NONE, REQUIRED, Record, atomic_write_text, canonical_json, dump_json_doc, slugify
 
 SKILL_STATUSES = ("untested", "repaired", "verified", "review", "deprecated", "removed")
 
@@ -72,90 +72,34 @@ INDEX_DIR = "index"
 
 
 @dataclass
-class SkillEntry:
+class SkillEntry(Record):
     id: str
     name: str
     leaf_path: str
-    status: str = "untested"
+    # A log line without a status is corrupt, although new entries default it.
+    status: str = field(default="untested", metadata=REQUIRED)
     package_path: str = ""
     smoke_target: str | None = None
     provenance: list[str] = field(default_factory=list)
     created_cycle: int = 0
     updated_cycle: int = 0
     confidence: str = "standard"
-    novelty_decision: str | None = None
-    merged_into: str | None = None
-
-    def to_record(self) -> dict:
-        record = {
-            "id": self.id,
-            "name": self.name,
-            "leaf_path": self.leaf_path,
-            "status": self.status,
-            "package_path": self.package_path,
-            "smoke_target": self.smoke_target,
-            "provenance": list(self.provenance),
-            "created_cycle": self.created_cycle,
-            "updated_cycle": self.updated_cycle,
-            "confidence": self.confidence,
-        }
-        if self.novelty_decision is not None:
-            record["novelty_decision"] = self.novelty_decision
-        if self.merged_into is not None:
-            record["merged_into"] = self.merged_into
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SkillEntry":
-        return cls(
-            id=record["id"],
-            name=record["name"],
-            leaf_path=record["leaf_path"],
-            status=record["status"],
-            package_path=record.get("package_path", ""),
-            smoke_target=record.get("smoke_target"),
-            provenance=list(record.get("provenance", [])),
-            created_cycle=int(record.get("created_cycle", 0)),
-            updated_cycle=int(record.get("updated_cycle", 0)),
-            confidence=record.get("confidence", "standard"),
-            novelty_decision=record.get("novelty_decision"),
-            merged_into=record.get("merged_into"),
-        )
+    novelty_decision: str | None = field(default=None, metadata=OMIT_NONE)
+    merged_into: str | None = field(default=None, metadata=OMIT_NONE)
 
 
 @dataclass
-class ResourceEntry:
+class ResourceEntry(Record):
     id: str
     kind: str
     locator: str
-    leaf_paths: list[str] = field(default_factory=list)
+    leaf_paths: list[str] = field(default_factory=list)  # sorted
     retrieved_cycle: int = 0
     authority_rank: int = 0
 
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "locator": self.locator,
-            "leaf_paths": sorted(self.leaf_paths),
-            "retrieved_cycle": self.retrieved_cycle,
-            "authority_rank": self.authority_rank,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ResourceEntry":
-        return cls(
-            id=record["id"],
-            kind=record["kind"],
-            locator=record["locator"],
-            leaf_paths=list(record.get("leaf_paths", [])),
-            retrieved_cycle=int(record.get("retrieved_cycle", 0)),
-            authority_rank=int(record.get("authority_rank", 0)),
-        )
-
 
 @dataclass
-class VerificationRecord:
+class VerificationRecord(Record):
     skill_id: str
     layer: str
     outcome: str
@@ -163,46 +107,15 @@ class VerificationRecord:
     report_locator: str = ""
     cycle: int = 0
 
-    def to_record(self) -> dict:
-        return {
-            "skill_id": self.skill_id,
-            "layer": self.layer,
-            "outcome": self.outcome,
-            "attempt": self.attempt,
-            "report_locator": self.report_locator,
-            "cycle": self.cycle,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "VerificationRecord":
-        return cls(
-            skill_id=record["skill_id"],
-            layer=record["layer"],
-            outcome=record["outcome"],
-            attempt=int(record["attempt"]),
-            report_locator=record.get("report_locator", ""),
-            cycle=int(record.get("cycle", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class LibraryStats:
+class LibraryStats(Record):
     skill_count: int
     verified_count: int
     domain_count: int
     subdomain_count: int
     resource_count: int
     novel_fraction: float
-
-    def to_record(self) -> dict:
-        return {
-            "skill_count": self.skill_count,
-            "verified_count": self.verified_count,
-            "domain_count": self.domain_count,
-            "subdomain_count": self.subdomain_count,
-            "resource_count": self.resource_count,
-            "novel_fraction": self.novel_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -395,27 +308,29 @@ class Registry:
         self._locator_index.clear()
         self._verifications = []
         self._attempts = {}
-        for line_no, record in self._read_records(SKILLS_FILE):
-            try:
-                entry = SkillEntry.from_record(record)
-            except KeyError as exc:
-                raise CorruptRecordError(SKILLS_FILE, line_no, f"missing field {exc}") from None
-            self._skills[entry.id] = entry
-            self._skill_history.setdefault(entry.id, []).append(record)
-        for line_no, record in self._read_records(RESOURCES_FILE):
-            try:
-                entry = ResourceEntry.from_record(record)
-            except KeyError as exc:
-                raise CorruptRecordError(RESOURCES_FILE, line_no, f"missing field {exc}") from None
-            self._resources[entry.id] = entry
-            self._locator_index[entry.locator] = entry.id
-        for line_no, record in self._read_records(VERIFICATIONS_FILE):
-            try:
-                self._add_verification(VerificationRecord.from_record(record))
-            except KeyError as exc:
-                raise CorruptRecordError(
-                    VERIFICATIONS_FILE, line_no, f"missing field {exc}"
-                ) from None
+        logs = (
+            (SKILLS_FILE, SkillEntry, self._add_skill),
+            (RESOURCES_FILE, ResourceEntry, lambda entry, _: self._add_resource(entry)),
+            (VERIFICATIONS_FILE, VerificationRecord, lambda entry, _: self._add_verification(entry)),
+        )
+        for name, record_class, add in logs:
+            for line_no, record in self._read_records(name):
+                try:
+                    entry = record_class.from_record(record)
+                except KeyError as exc:
+                    raise CorruptRecordError(name, line_no, f"missing field {exc}") from None
+                add(entry, record)
+
+    def _add_skill(self, entry: SkillEntry, record: dict) -> None:
+        """Make ``entry``, whose record is ``record``, the skill's current state."""
+        self._skills[entry.id] = entry
+        self._rendered["skills.json"].pop(entry.id, None)
+        self._skill_history.setdefault(entry.id, []).append(record)
+
+    def _add_resource(self, entry: ResourceEntry) -> None:
+        self._resources[entry.id] = entry
+        self._rendered["resources.json"].pop(entry.id, None)
+        self._locator_index[entry.locator] = entry.id
 
     def _add_verification(self, record: VerificationRecord) -> None:
         self._verifications.append(record)
@@ -535,9 +450,7 @@ class Registry:
         """
         record = entry.to_record()
         line = self._append(SKILLS_FILE, record)
-        self._skills[entry.id] = entry
-        self._rendered["skills.json"].pop(entry.id, None)
-        self._skill_history.setdefault(entry.id, []).append(record)
+        self._add_skill(entry, record)
         return line
 
     def upsert_skill(self, entry: SkillEntry) -> Receipt:
@@ -573,19 +486,21 @@ class Registry:
             self._resync_if_stale()
             existing = self.resource_by_locator(resource.locator)
             if existing is None:
-                entry = replace(resource, id=resource.id or resource_id_for(resource.locator))
+                entry = replace(
+                    resource,
+                    id=resource.id or resource_id_for(resource.locator),
+                    leaf_paths=sorted(resource.leaf_paths),
+                )
                 created = True
             else:
                 merged_leaves = sorted(set(existing.leaf_paths) | set(resource.leaf_paths))
-                if merged_leaves == sorted(existing.leaf_paths):
+                if merged_leaves == existing.leaf_paths:
                     # Nothing new to say; keep history append-only but skip noise.
                     return Receipt(id=existing.id, created=False, file=RESOURCES_FILE, line=0)
                 entry = replace(existing, leaf_paths=merged_leaves)
                 created = False
             line = self._append(RESOURCES_FILE, entry.to_record())
-            self._resources[entry.id] = entry
-            self._rendered["resources.json"].pop(entry.id, None)
-            self._locator_index[entry.locator] = entry.id
+            self._add_resource(entry)
             return Receipt(id=entry.id, created=created, file=RESOURCES_FILE, line=line)
 
     def transition_skill(self, skill_id: str, status: str, cycle: int, merged_into: str | None = None) -> SkillEntry:

@@ -15,7 +15,7 @@ from .contracts import load_contract
 from .errors import ExportError
 from .pipeline import CycleReport, STAGE_ORDER
 from .registry import LibraryStats, Registry
-from .util import atomic_write_text, dump_json_doc, digest_dir
+from .util import Record, atomic_write_text, digest_dir, dump_json_doc
 
 
 @dataclass
@@ -145,11 +145,8 @@ def export_site(registry: Registry, tree: treemod.DomainTree, dest: str | Path) 
 
 
 @dataclass
-class TimingSummary:
+class TimingSummary(Record):
     per_stage: dict[str, dict] = field(default_factory=dict)  # stage -> {count, mean}
-
-    def to_record(self) -> dict:
-        return {"per_stage": self.per_stage}
 
 
 def stage_timing_report(cycle_reports: list[CycleReport]) -> TimingSummary:

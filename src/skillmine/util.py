@@ -1,16 +1,96 @@
-"""Shared low-level helpers: slugs, canonical JSON, digests, atomic file writes."""
+"""Shared low-level helpers: slugs, canonical JSON, the record codec, digests,
+atomic file writes."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 _SLUG_STRIP = re.compile(r"[^a-z0-9]+")
+
+# Layout rules for a ``Record`` field, given as its ``metadata``. A field
+# without one is written as it is, and is required on load when it has no
+# default. A record class given as the rule marks a list of such records.
+OMIT_NONE = {"record": "omit_none"}  # left out of the record when None
+NOT_WRITTEN = {"record": "not_written"}  # never written, but read when given
+REQUIRED = {"record": "required"}  # required on load although it has a default
+
+
+class _Layout(NamedTuple):
+    written: tuple[str, ...]  # in field order
+    names: frozenset[str]  # every field
+    omit_none: tuple[str, ...]
+    nested: tuple[tuple[str, type], ...]  # (name, the record class of its items)
+    required: tuple[str, ...]  # in field order
+    converters: tuple[tuple[str, type], ...]  # (name, int or tuple)
+
+
+@functools.cache
+def _layout(cls: type) -> _Layout:
+    fields = dataclasses.fields(cls)
+    rules = {f.name: f.metadata.get("record") for f in fields}
+    return _Layout(
+        written=tuple(name for name, rule in rules.items() if rule != "not_written"),
+        names=frozenset(rules),
+        omit_none=tuple(name for name, rule in rules.items() if rule == "omit_none"),
+        nested=tuple((name, rule) for name, rule in rules.items() if isinstance(rule, type)),
+        required=tuple(
+            f.name for f in fields
+            if rules[f.name] == "required"
+            or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        ),
+        # By the annotation's text: record modules postpone annotations.
+        converters=tuple(
+            (f.name, int if kind == "int" else tuple)
+            for f in fields
+            if (kind := str(f.type).partition("[")[0]) in ("int", "tuple")
+        ),
+    )
+
+
+class Record:
+    """A dataclass mixin: ``to_record`` and ``from_record`` take the on-disk
+    layout, the fields in field order, from ``dataclasses.fields`` and the
+    layout rule in each field's metadata."""
+
+    def to_record(self) -> dict:
+        layout = _layout(type(self))
+        record = {name: getattr(self, name) for name in layout.written}
+        for name in layout.omit_none:
+            if record[name] is None:
+                del record[name]
+        for name, _item in layout.nested:
+            record[name] = [value.to_record() for value in record[name]]
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict):
+        """Raises ``KeyError`` naming the first required field, in field
+        order, that the record lacks. Keys that are not fields are
+        ignored. A field annotated ``int`` or ``tuple[...]`` goes through
+        ``int()`` or ``tuple()``."""
+        layout = _layout(cls)
+        for name in layout.required:
+            if name not in record:
+                raise KeyError(name)
+        if not layout.names.issuperset(record):
+            record = {key: value for key, value in record.items() if key in layout.names}
+        instance = cls(**record)
+        # object.__setattr__ also sets the fields of a frozen dataclass.
+        for name, item in layout.nested:
+            object.__setattr__(instance, name, [item.from_record(v) for v in getattr(instance, name)])
+        for name, convert in layout.converters:
+            value = getattr(instance, name)
+            if type(value) is not convert:
+                object.__setattr__(instance, name, convert(value))
+        return instance
 
 
 def slugify(text: str) -> str:

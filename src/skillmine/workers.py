@@ -29,6 +29,8 @@ from .harness import load_benchmark_cases, validation_pool
 from .pipeline import Pipeline, leaf_key, leaf_slug_path
 from .registry import VerificationRecord
 from .util import (
+    NOT_WRITTEN,
+    Record,
     atomic_write_bytes,
     atomic_write_text,
     dump_json_doc,
@@ -270,8 +272,8 @@ def merge_worker_outputs(
 
 
 @dataclass
-class CampaignConfig:
-    campaign_id: str
+class CampaignConfig(Record):
+    campaign_id: str = field(metadata=NOT_WRITTEN)  # a checkpoint is stored under it
     branch_schedule: tuple[str, ...]
     cycles_per_branch: int = 1
     eval_batch_size: int | None = None
@@ -286,7 +288,7 @@ class CampaignConfig:
 
 
 @dataclass
-class CampaignCheckpoint:
+class CampaignCheckpoint(Record):
     campaign_id: str
     completed_cycles: list[int]
     pending_skills: list[str]
@@ -298,25 +300,6 @@ class CampaignCheckpoint:
     phases: list[dict] = field(default_factory=list)
     failures_in_row: int = 0
     config: dict = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        return {
-            "campaign_id": self.campaign_id,
-            "completed_cycles": self.completed_cycles,
-            "pending_skills": self.pending_skills,
-            "cursor": self.cursor,
-            "registry_digest": self.registry_digest,
-            "tree_digest": self.tree_digest,
-            "cycle_index": self.cycle_index,
-            "provider_counters": self.provider_counters,
-            "phases": self.phases,
-            "failures_in_row": self.failures_in_row,
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CampaignCheckpoint":
-        return cls(**record)
 
 
 @dataclass
@@ -355,12 +338,7 @@ def checkpoint_campaign(
         provider_counters=pipeline.gateway.export_counters(),
         phases=list(phases),
         failures_in_row=failures_in_row,
-        config={
-            "branch_schedule": list(config.branch_schedule),
-            "cycles_per_branch": config.cycles_per_branch,
-            "eval_batch_size": config.eval_batch_size,
-            "failure_halt_limit": config.failure_halt_limit,
-        },
+        config=config.to_record(),
     )
     path = pipeline.root / CAMPAIGNS_DIR / config.campaign_id / "checkpoint.json"
     atomic_write_text(path, dump_json_doc(checkpoint.to_record()))
@@ -421,7 +399,6 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
                     layer="benchmark",
                     outcome="pass" if not report.is_weak(threshold) else "fail",
                     attempt=attempt,
-                    report_locator="",
                     cycle=pipeline.state.cycle_index,
                 ),
                 promote=False,
@@ -500,13 +477,7 @@ def resume_campaign(
     mode = stored.get("mining_mode", "cycle")
     if mode != "cycle":
         raise WorkerError(f"campaign {campaign_id}: unsupported mining mode {mode!r}")
-    config = CampaignConfig(
-        campaign_id=campaign_id,
-        branch_schedule=tuple(stored["branch_schedule"]),
-        cycles_per_branch=stored["cycles_per_branch"],
-        eval_batch_size=stored.get("eval_batch_size"),
-        failure_halt_limit=stored.get("failure_halt_limit"),
-    )
+    config = CampaignConfig.from_record({**stored, "campaign_id": campaign_id})
     pipeline.state.cycle_index = checkpoint.cycle_index
     pipeline.state.pending_skills = tuple(checkpoint.pending_skills)
     pipeline.gateway.import_counters(checkpoint.provider_counters)
@@ -534,6 +505,7 @@ def _campaign_loop(
     halt_limit = config.failure_halt_limit or pipeline.config.failure_halt_limit
     batch_size = config.eval_batch_size or pipeline.config.eval_batch_size
 
+    status = "completed"
     while cursor < len(plan):
         kind, branch = plan[cursor]
         try:
@@ -547,33 +519,19 @@ def _campaign_loop(
         except Exception as exc:
             failures_in_row += 1
             record = {"kind": f"{kind}-failed", "branch": branch, "error": str(exc)}
-            phases.append(record)
-            cursor += 1
-            checkpoint_campaign(pipeline, config, cursor, phases, completed_cycles, failures_in_row)
-            if failures_in_row >= halt_limit:
-                return CampaignReport(
-                    campaign_id=config.campaign_id,
-                    status="halted",
-                    phases=phases,
-                    completed_cycles=completed_cycles,
-                )
-            continue
-
         phases.append(record)
         cursor += 1
         checkpoint_campaign(pipeline, config, cursor, phases, completed_cycles, failures_in_row)
-        if stop_after_phases is not None and cursor >= stop_after_phases:
-            if cursor < len(plan):
-                return CampaignReport(
-                    campaign_id=config.campaign_id,
-                    status="interrupted",
-                    phases=phases,
-                    completed_cycles=completed_cycles,
-                )
+        if failures_in_row >= halt_limit:
+            status = "halted"
+            break
+        if stop_after_phases is not None and cursor >= stop_after_phases and cursor < len(plan):
+            status = "interrupted"
+            break
 
     return CampaignReport(
         campaign_id=config.campaign_id,
-        status="completed",
+        status=status,
         phases=phases,
         completed_cycles=completed_cycles,
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skillmine import harness as harnessmod
 from skillmine.contracts import ContractInput, compile_package
 from skillmine.errors import (
     HarnessError,
@@ -19,10 +20,14 @@ from skillmine.harness import (
     BenchmarkCase,
     SchedulerAdapter,
     SyntheticFixtures,
+    SyntheticReport,
     ValidationHarness,
     load_benchmark_cases,
 )
+from skillmine.pipeline import CycleReport, DesignReport, StageOutcome
 from skillmine.registry import SkillEntry, VerificationRecord, open_registry
+from skillmine.site import TimingSummary
+from skillmine.util import canonical_json
 
 from conftest import (
     FAILING_SMOKE,
@@ -535,3 +540,78 @@ def test_load_benchmark_cases_inline_and_path_fixtures(tmp_path):
     assert len(cases) == 1
     assert cases[0].fixtures["inline.txt"] == "inline\n"
     assert cases[0].fixtures["extra.txt"] == "fixture data\n"
+
+
+# -- report layouts ------------------------------------------------------------------
+
+
+def _test_report(**kw):
+    base = dict(skill_id="x", layer="execution", command="python3 tests/smoke.py", exit_status=0,
+                duration_seconds=0.0, log_digest="ld", artifacts_digest="ad", verdict="pass")
+    return harnessmod.TestReport(**{**base, **kw})
+
+
+CYCLE_REPORT = CycleReport(
+    cycle_index=4,
+    stages=[StageOutcome("tree_check", "abc", 0.0, "ok")],
+    skills_created=["s1"],
+    skills_verified=["s1"],
+    tree_edits=["split a"],
+    notes=["n"],
+)
+
+
+# The on-disk layout of each report, byte for byte.
+@pytest.mark.parametrize(
+    "report, expected",
+    [
+        (
+            _test_report(report_locator="reports/verifications/x/execution/attempt-1.json"),
+            '{"artifacts_digest":"ad","command":"python3 tests/smoke.py","duration_seconds":0.0,'
+            '"exit_status":0,"layer":"execution","log_digest":"ld","skill_id":"x","verdict":"pass"}',
+        ),
+        (
+            _test_report(layer="system", exit_status=None, artifacts_digest="", verdict="fail",
+                         rendered_submission="job-name=skill-x\n"),
+            '{"artifacts_digest":"","command":"python3 tests/smoke.py","duration_seconds":0.0,'
+            '"exit_status":null,"layer":"system","log_digest":"ld",'
+            '"rendered_submission":"job-name=skill-x\\n","skill_id":"x","verdict":"fail"}',
+        ),
+        (
+            SyntheticReport("x", {"inputs": {"reads": "exercised"}, "outputs": {"report": "observed"}},
+                            "stable", ("d1", "d1")),
+            '{"contract_coverage":{"inputs":{"reads":"exercised"},"outputs":{"report":"observed"}},'
+            '"run_digests":["d1","d1"],"skill_id":"x","stability":"stable"}',
+        ),
+        (
+            SyntheticReport("x", {"inputs": {}, "outputs": {}}, "unstable", ("", ""), error="boom"),
+            '{"contract_coverage":{"inputs":{},"outputs":{}},"error":"boom","run_digests":["",""],'
+            '"skill_id":"x","stability":"unstable"}',
+        ),
+        (
+            CYCLE_REPORT,
+            '{"cycle_index":4,"focus_branch":null,"notes":["n"],"skills_created":["s1"],'
+            '"skills_removed":[],"skills_verified":["s1"],"stages":[{"digest":"abc",'
+            '"duration_seconds":0.0,"stage":"tree_check","summary":"ok"}],"tree_edits":["split a"]}',
+        ),
+        (
+            DesignReport("Align reads", None, "failed", True, ["design_skill"]),
+            '{"resource_search_skipped":true,"skill_id":null,"status":"failed",'
+            '"steps":["design_skill"],"task_prompt":"Align reads","verdict":null}',
+        ),
+        (
+            TimingSummary({"refresh": {"count": 1, "mean_seconds": 0.5}}),
+            '{"per_stage":{"refresh":{"count":1,"mean_seconds":0.5}}}',
+        ),
+    ],
+    ids=["test-report", "test-report-with-submission", "synthetic", "synthetic-with-error",
+         "cycle", "design", "timing"],
+)
+def test_report_layout_is_pinned(report, expected):
+    assert canonical_json(report.to_record()) == expected
+
+
+def test_a_cycle_report_loads_back_with_its_stage_outcomes():
+    loaded = CycleReport.from_record(json.loads(canonical_json(CYCLE_REPORT.to_record())))
+    assert loaded == CYCLE_REPORT
+    assert isinstance(loaded.stages[0], StageOutcome)

@@ -109,13 +109,90 @@ def test_corrupt_record_names_file_and_line(tmp_path):
     assert excinfo.value.line == 4
 
 
-def test_record_missing_a_field_is_named_by_its_line_not_its_position(tmp_path):
+@pytest.mark.parametrize(
+    "line, missing",
+    [
+        ('{"id": "x"}', "name"),
+        # status has a default for new entries, but a log line must carry it
+        ('{"id": "x", "name": "X", "leaf_path": "a/b/c"}', "status"),
+    ],
+    ids=["no-name", "no-status"],
+)
+def test_record_missing_a_field_is_named_by_its_line_not_its_position(tmp_path, line, missing):
     root = tmp_path / "library"
     root.mkdir()
-    (root / "skills.ndjson").write_text('\n\n{"id": "x"}\n', encoding="utf-8")
-    with pytest.raises(CorruptRecordError, match="missing field") as excinfo:
+    (root / "skills.ndjson").write_text(f"\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(CorruptRecordError, match=f"missing field '{missing}'") as excinfo:
         open_registry(root)
     assert excinfo.value.line == 3
+
+
+# The on-disk layout of each registry record, byte for byte.
+@pytest.mark.parametrize(
+    "record, expected",
+    [
+        (
+            entry(),
+            '{"confidence":"standard","created_cycle":1,"id":"align-reads",'
+            '"leaf_path":"science/genomics/alignment/short-read-alignment","name":"Align reads",'
+            '"package_path":"skills/align-reads","provenance":["res-1"],'
+            '"smoke_target":"python3 tests/smoke.py","status":"untested","updated_cycle":1}',
+        ),
+        (
+            SkillEntry(id="x", name="X", leaf_path="a/b/c", status="removed",
+                       novelty_decision="merge", merged_into="y"),
+            '{"confidence":"standard","created_cycle":0,"id":"x","leaf_path":"a/b/c",'
+            '"merged_into":"y","name":"X","novelty_decision":"merge","package_path":"",'
+            '"provenance":[],"smoke_target":null,"status":"removed","updated_cycle":0}',
+        ),
+        (
+            VerificationRecord("x", "execution", "fail", 2,
+                               "reports/verifications/x/execution/attempt-2.json", 3),
+            '{"attempt":2,"cycle":3,"layer":"execution","outcome":"fail",'
+            '"report_locator":"reports/verifications/x/execution/attempt-2.json","skill_id":"x"}',
+        ),
+        (
+            registrymod.LibraryStats(3, 1, 2, 4, 5, 0.5),
+            '{"domain_count":2,"novel_fraction":0.5,"resource_count":5,"skill_count":3,'
+            '"subdomain_count":4,"verified_count":1}',
+        ),
+    ],
+    ids=["skill", "skill-with-novelty-decision-and-merge", "verification", "library-stats"],
+)
+def test_record_layout_is_pinned(record, expected):
+    assert canonical_json(record.to_record()) == expected
+
+
+def test_a_resource_is_logged_with_its_leaf_paths_sorted(registry):
+    registry.record_resource(
+        ResourceEntry(id="res-a", kind="paper", locator="https://example.org/a",
+                      leaf_paths=["a/b/d", "a/b/c"], retrieved_cycle=2, authority_rank=1)
+    )
+    assert (registry.root / "resources.ndjson").read_text("utf-8") == (
+        '{"authority_rank":1,"id":"res-a","kind":"paper","leaf_paths":["a/b/c","a/b/d"],'
+        '"locator":"https://example.org/a","retrieved_cycle":2}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        entry(),
+        entry(status="removed", novelty_decision="merge", merged_into="other"),
+        ResourceEntry(id="res-a", kind="paper", locator="https://example.org/a",
+                      leaf_paths=["a/b/c"], retrieved_cycle=2, authority_rank=1),
+        VerificationRecord("x", "execution", "fail", 2, "reports/x.json", 3),
+    ],
+    ids=["skill", "skill-with-novelty-decision-and-merge", "resource", "verification"],
+)
+def test_from_record_inverts_to_record(record):
+    assert type(record).from_record(record.to_record()) == record
+
+
+def test_from_record_ignores_unknown_keys_and_converts_int_fields():
+    record = VerificationRecord("x", "execution", "fail", 2, "reports/x.json", 3)
+    loaded = VerificationRecord.from_record({**record.to_record(), "attempt": "2", "note": "?"})
+    assert loaded == record and type(loaded.attempt) is int
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,10 @@ from skillmine.errors import (
     WorkerError,
 )
 from skillmine.pipeline import Pipeline
+from skillmine.util import canonical_json
 from skillmine.workers import (
     ArtifactSet,
+    CampaignCheckpoint,
     CampaignConfig,
     collect_leaf_artifacts,
     is_leaf_owned,
@@ -430,7 +432,40 @@ def test_campaign_halts_after_consecutive_failures(tmp_path, campaign_script):
     assert len(failed) == 2
 
 
+def test_a_failed_phase_still_stops_at_stop_after_phases(tmp_path, campaign_script):
+    engine = make_engine(tmp_path / "library", campaign_script)
+    config = CampaignConfig(
+        campaign_id="doomed",
+        branch_schedule=("science/missing-branch",),
+        cycles_per_branch=2,
+        failure_halt_limit=3,
+    )
+    report = run_campaign(engine, config, stop_after_phases=1)
+    assert report.status == "interrupted"
+    assert [phase["kind"] for phase in report.phases] == ["mining-failed"]
+    assert load_checkpoint(engine, "doomed").cursor == 1
+
+
 # -- checkpoints ---------------------------------------------------------------------
+
+
+def test_checkpoint_layout_is_pinned_and_loads_back():
+    config = CampaignConfig(campaign_id="camp", branch_schedule=("science/genomics",))
+    stored = json.loads(canonical_json(config.to_record()))
+    checkpoint = CampaignCheckpoint(
+        campaign_id="camp", completed_cycles=[1], pending_skills=["s"], cursor=2,
+        registry_digest="rd", tree_digest="td", cycle_index=3,
+        provider_counters={"skill_build": 2}, phases=[{"kind": "mining"}], config=stored,
+    )
+    assert canonical_json(checkpoint.to_record()) == (
+        '{"campaign_id":"camp","completed_cycles":[1],"config":{"branch_schedule":'
+        '["science/genomics"],"cycles_per_branch":1,"eval_batch_size":null,'
+        '"failure_halt_limit":null},"cursor":2,"cycle_index":3,"failures_in_row":0,'
+        '"pending_skills":["s"],"phases":[{"kind":"mining"}],'
+        '"provider_counters":{"skill_build":2},"registry_digest":"rd","tree_digest":"td"}'
+    )
+    assert CampaignCheckpoint.from_record(checkpoint.to_record()) == checkpoint
+    assert CampaignConfig.from_record({**stored, "campaign_id": "camp"}) == config
 
 
 def test_checkpoint_of_idle_state_round_trips(engine):
