@@ -18,7 +18,7 @@ from . import tree as treemod
 from . import workers as workersmod
 from .config import EngineConfig, load_config
 from .errors import SkillmineError
-from .harness import SchedulerAdapter, SyntheticFixtures
+from .harness import SchedulerAdapter, SyntheticFixtures, load_benchmark_cases
 from .pipeline import Pipeline
 from .registry import open_registry
 
@@ -137,36 +137,35 @@ def _dispatch(args) -> int:
 
     if args.command == "test":
         pipeline = _pipeline(args)
-        entry = pipeline.registry.skill(args.skill_id)
-        package = contractsmod.load_package(pipeline.root / entry.package_path)
-        if args.layer == "execution":
-            report = pipeline.harness.execution_test(package, args.skill_id)
-            print(f"test {args.skill_id} execution: {report.verdict}")
-            return 0 if report.verdict == "pass" else 1
+        harness, skill_id = pipeline.harness, args.skill_id
+        # The reports go under the sandbox, outside the committed library:
+        # a manual run must not overwrite the reports its records point at.
+        harness.reports_root = harness.sandbox_root / "reports"
+        package = contractsmod.load_package(
+            pipeline.root / pipeline.registry.skill(skill_id).package_path
+        )
         if args.layer == "synthetic":
-            report = pipeline.harness.synthetic_test(package, args.skill_id, SyntheticFixtures())
+            report = harness.synthetic_test(package, skill_id, SyntheticFixtures())
             gaps = ", ".join(report.coverage_gaps) or "none"
-            print(f"test {args.skill_id} synthetic: {report.stability}; gaps: {gaps}")
+            print(f"test {skill_id} synthetic: {report.stability}; gaps: {gaps}")
             return 0 if report.clean else 1
         if args.layer == "benchmark":
-            from .harness import load_benchmark_cases
-
-            case_path = args.cases or (pipeline.root / entry.package_path / "tests" / "benchmark.json")
-            cases = load_benchmark_cases(case_path)
-            report = pipeline.harness.benchmark_compare(package, cases, args.skill_id)
-            weak = report.is_weak(pipeline.config.advantage_threshold)
-            print(
-                f"test {args.skill_id} benchmark: margin={report.margin:.4f} "
-                f"({'weak' if weak else 'meaningful advantage'})"
-            )
-            return 0 if not weak else 1
-        report = pipeline.harness.system_test(package, args.skill_id, SchedulerAdapter())
-        print(f"test {args.skill_id} system: {report.verdict}")
+            cases = load_benchmark_cases(args.cases or package.root_path / "tests/benchmark.json")
+            threshold = pipeline.config.advantage_threshold
+            report = harness.benchmark_compare(package, cases, skill_id, threshold=threshold)
+            advantage = "meaningful advantage" if report.verdict == "pass" else "weak"
+            print(f"test {skill_id} benchmark: margin={report.margin:.4f} ({advantage})")
+        elif args.layer == "execution":
+            report = harness.execution_test(package, skill_id)
+            print(f"test {skill_id} execution: {report.verdict}")
+        else:
+            report = harness.system_test(package, skill_id, SchedulerAdapter())
+            print(f"test {skill_id} system: {report.verdict}")
         return 0 if report.verdict == "pass" else 1
 
     if args.command == "novelty":
         pipeline = _pipeline(args)
-        verdict = pipeline._adjudicate(args.skill_id)
+        verdict = pipeline.adjudicate(args.skill_id)
         print(f"novelty {args.skill_id}: {verdict.decision} ({verdict.rationale})")
         return 0
 

@@ -2,9 +2,15 @@
 
 Every validation run is hermetic: commands execute in a private sandbox
 directory with a scrubbed environment and a wall-clock timeout, and nothing is
-written outside the sandbox and the append-only report tree. Sandboxes follow
+written outside the sandbox, the append-only report tree and the package that a
+repair or an optimization edits. Sandboxes follow
 ``<base>/<skill-id>/<layer>/<attempt>/``. Runs for different skills share
 no path, so they may run at once on a ``validation_pool``.
+
+No run writes the registry: the repair and optimize loops return what they
+decided, and the outcome's ``commit`` records it. A caller that aborts before
+it commits every outcome leaves the rest's edited packages, reports and
+consumed provider calls, with no record pointing at them.
 """
 
 from __future__ import annotations
@@ -72,19 +78,8 @@ _BASE_ENV = {
 }
 
 
-@dataclass
-class TestReport(Record):
-    skill_id: str
-    layer: str
-    command: str
-    exit_status: int | None
-    duration_seconds: float
-    log_digest: str
-    artifacts_digest: str
-    verdict: str
-    rendered_submission: str | None = field(default=None, metadata=OMIT_NONE)
-    # Where the report was written: known only once it is, so not in it.
-    report_locator: str = field(default="", metadata=NOT_WRITTEN)
+class _Judged(Record):
+    """A written report whose verdict the registry records."""
 
     def verification_record(self, attempt: int, cycle: int) -> VerificationRecord:
         """The registry's record of this report. A verdict that is neither
@@ -97,6 +92,21 @@ class TestReport(Record):
             report_locator=self.report_locator,
             cycle=cycle,
         )
+
+
+@dataclass
+class TestReport(_Judged):
+    skill_id: str
+    layer: str
+    command: str
+    exit_status: int | None
+    duration_seconds: float
+    log_digest: str
+    artifacts_digest: str
+    verdict: str
+    rendered_submission: str | None = field(default=None, metadata=OMIT_NONE)
+    # Where the report was written: known only once it is, so not in it.
+    report_locator: str = field(default="", metadata=NOT_WRITTEN)
 
 
 @dataclass
@@ -130,13 +140,14 @@ class SyntheticReport(Record):
 
 
 @dataclass
-class BenchmarkReport:
+class BenchmarkReport(_Judged):
     skill_id: str
-    cases: list[tuple[str, float, float]]
+    cases: list[tuple[str, float, float]]  # (case id, with-skill score, baseline score)
     margin: float
+    verdict: str  # pass when the margin reached the threshold it was judged by
+    report_locator: str = field(default="", metadata=NOT_WRITTEN)
 
-    def is_weak(self, threshold: float = DEFAULT_ADVANTAGE_THRESHOLD) -> bool:
-        return self.margin < threshold
+    layer = "benchmark"
 
 
 @dataclass
@@ -150,16 +161,44 @@ class BenchmarkCase:
 
 @dataclass
 class RepairOutcome:
+    """What a repair decided: each attempt's report, attempt 1 first, and
+    the status they lead to."""
+
+    skill_id: str
     outcome: str  # repaired | removed
     attempts: int
     reports: list[TestReport] = field(default_factory=list)
+    edited: bool = False  # a fix was applied, not rejected (it may edit nothing)
+
+    def commit(self, registry: Registry, cycle: int, promote: bool = True) -> None:
+        """Record attempts 2 and on (attempt 1 is the caller's): an edited
+        untested skill becomes repaired, a pass verifies it if ``promote``,
+        and a spent budget removes it."""
+        if self.edited and registry.skill(self.skill_id).status == "untested":
+            registry.transition_skill(self.skill_id, "repaired", cycle)
+        for attempt, report in enumerate(self.reports[1:], start=2):
+            registry.set_verification(
+                self.skill_id, report.verification_record(attempt, cycle), promote=promote
+            )
+        if self.outcome == "removed":
+            registry.transition_skill(self.skill_id, "removed", cycle)
 
 
 @dataclass
 class OptimizeOutcome:
+    """What an optimization decided: each round's margin, its re-benchmarks,
+    and whether the skill goes to review."""
+
+    skill_id: str
     outcome: str  # optimized | review
     attempts: int
     margins: list[float] = field(default_factory=list)
+    reports: list[BenchmarkReport] = field(default_factory=list)
+
+    def commit(self, registry: Registry, cycle: int) -> None:
+        """An exhausted optimization sends a verified skill to review."""
+        if self.outcome == "review" and registry.skill(self.skill_id).status == "verified":
+            registry.transition_skill(self.skill_id, "review", cycle)
 
 
 @dataclass
@@ -304,7 +343,7 @@ class ValidationHarness:
         duration = 0.0 if self.deterministic else time.monotonic() - start
         return exit_status, log, duration
 
-    def _write_report(self, report: TestReport | SyntheticReport, attempt: int) -> str:
+    def _write_report(self, report: _Judged | SyntheticReport, attempt: int) -> str:
         """Write the report to ``verifications/<skill>/<layer>/attempt-<n>.json``
         under the report root; returns its locator in the library."""
         rel = Path("verifications") / report.skill_id / report.layer / f"attempt-{attempt}.json"
@@ -326,6 +365,27 @@ class ValidationHarness:
             log_digest=sha256_hex(message.encode("utf-8")),
             artifacts_digest="",
             verdict=verdict,
+            rendered_submission=submission,
+        )
+        report.report_locator = self._write_report(report, attempt)
+        return report
+
+    def _report_of_run(
+        self, skill_id: str, layer: str, smoke, run: tuple[int | None, bytes, float],
+        sandbox: Path, attempt: int, submission: str | None = None,
+    ) -> TestReport:
+        """The written report of ``smoke``'s ``run`` (exit status, log,
+        duration) in ``sandbox``."""
+        exit_status, log, duration = run
+        report = TestReport(
+            skill_id=skill_id,
+            layer=layer,
+            command=smoke.command,
+            exit_status=exit_status,
+            duration_seconds=duration,
+            log_digest=sha256_hex(normalize_output_bytes(log)),
+            artifacts_digest=self._artifacts_digest(sandbox),
+            verdict="pass" if exit_status == smoke.expected_exit else "fail",
             rendered_submission=submission,
         )
         report.report_locator = self._write_report(report, attempt)
@@ -360,25 +420,13 @@ class ValidationHarness:
         sandbox = self._sandbox(skill_id, "execution", attempt)
         try:
             _copy_package(package.root_path, sandbox)
-            workdir = sandbox / smoke.workdir
-            exit_status, log, duration = self._run(smoke.argv(), workdir, smoke.timeout)
+            run = self._run(smoke.argv(), sandbox / smoke.workdir, smoke.timeout)
         except HarnessError as exc:
             return self._report_without_run(
                 skill_id, "execution", smoke.command, str(exc), "error", attempt
             )
 
-        verdict = "pass" if exit_status == smoke.expected_exit else "fail"
-        report = TestReport(
-            skill_id=skill_id,
-            layer="execution",
-            command=smoke.command,
-            exit_status=exit_status,
-            duration_seconds=duration,
-            log_digest=sha256_hex(normalize_output_bytes(log)),
-            artifacts_digest=self._artifacts_digest(sandbox),
-            verdict=verdict,
-        )
-        report.report_locator = self._write_report(report, attempt)
+        report = self._report_of_run(skill_id, "execution", smoke, run, sandbox, attempt)
         if not self.keep_sandboxes:
             shutil.rmtree(sandbox, ignore_errors=True)
             # The layer and skill directories too, unless a repair's work
@@ -399,13 +447,14 @@ class ValidationHarness:
         gateway,
         registry: Registry | None = None,
         cycle: int = 0,
-        promote: bool = True,
     ) -> RepairOutcome:
         """Fix-and-retest until the smoke target passes or the budget is spent.
 
         The budget counts execution attempts including the initial failure, so
         budget=3 allows at most two fix/retest rounds after the first fail.
-        Each retest is an ``execution_test`` of the repaired work copy.
+        Each retest is an ``execution_test`` of the repaired work copy, which a
+        pass copies into ``package``. With ``registry``, the outcome is
+        committed there and a pass verifies the skill.
         """
         if failing_report.verdict not in ("fail", "error"):
             raise HarnessError("repair_loop requires a failing or errored report")
@@ -418,12 +467,11 @@ class ValidationHarness:
         _copy_package(package.root_path, workdir)
         work_package = load_package(workdir)
 
-        attempt = 1  # the failing report consumed attempt 1
-        reports: list[TestReport] = [failing_report]
+        outcome = RepairOutcome(
+            skill_id=skill_id, outcome="removed", attempts=1, reports=[failing_report]
+        )
         last_log = f"verdict={failing_report.verdict} exit={failing_report.exit_status}"
-        repaired_marked = False
-
-        while attempt < budget:
+        while outcome.attempts < budget:
             response = gateway.call(
                 "layer1_fix",
                 {
@@ -434,7 +482,8 @@ class ValidationHarness:
                 key=skill_id,
             )
             edits = response.fields["edits"]
-            attempt += 1
+            outcome.attempts += 1
+            attempt = outcome.attempts
 
             rejected = [e["path"] for e in edits if is_escaping_relpath(e["path"])]
             if rejected:
@@ -446,32 +495,25 @@ class ValidationHarness:
             else:
                 for edit in edits:
                     atomic_write_text(workdir / edit["path"], edit["content"])
-                if registry is not None and not repaired_marked:
-                    if registry.skill(skill_id).status == "untested":
-                        registry.transition_skill(skill_id, "repaired", cycle)
-                    repaired_marked = True
+                outcome.edited = True
                 report = self.execution_test(work_package, skill_id, attempt=attempt)
-            reports.append(report)
-            if registry is not None:
-                registry.set_verification(
-                    skill_id, report.verification_record(attempt, cycle), promote=promote
-                )
+            outcome.reports.append(report)
             if report.verdict == "pass":
                 # Persist the repaired surface back into the real package.
                 shutil.rmtree(package.root_path)
                 shutil.copytree(workdir, package.root_path)
-                self._discard(skill_id)
-                return RepairOutcome(outcome="repaired", attempts=attempt, reports=reports)
+                outcome.outcome = "repaired"
+                break
             last_log = (
                 "previous edit rejected: path escaped the package root"
                 if rejected
                 else f"verdict={report.verdict} exit={report.exit_status}"
             )
 
-        if registry is not None:
-            registry.transition_skill(skill_id, "removed", cycle)
         self._discard(skill_id)
-        return RepairOutcome(outcome="removed", attempts=attempt, reports=reports)
+        if registry is not None:
+            outcome.commit(registry, cycle)
+        return outcome
 
     # -- synthetic ------------------------------------------------------------------
 
@@ -492,15 +534,8 @@ class ValidationHarness:
         elif contract.test_commands:
             command = contract.test_commands[0]
         if command is None:
-            report = SyntheticReport(
-                skill_id=skill_id,
-                contract_coverage=self._empty_coverage(contract),
-                stability="unstable",
-                run_digests=("", ""),
-                error="no invocation available for synthetic testing",
-            )
-            self._write_report(report, attempt)
-            return report
+            message = "no invocation available for synthetic testing"
+            return self._synthetic_error(skill_id, contract, message, attempt)
 
         values: dict[str, str] = {}
         for item in contract.inputs:
@@ -528,15 +563,7 @@ class ValidationHarness:
                 )
                 input_coverage[item.name] = "ignored" if digest_p == digest_a else "exercised"
         except HarnessError as exc:
-            report = SyntheticReport(
-                skill_id=skill_id,
-                contract_coverage=self._empty_coverage(contract),
-                stability="unstable",
-                run_digests=("", ""),
-                error=str(exc),
-            )
-            self._write_report(report, attempt)
-            return report
+            return self._synthetic_error(skill_id, contract, str(exc), attempt)
 
         stability = "stable" if digest_a == digest_b else "unstable"
         coverage = {
@@ -556,11 +583,15 @@ class ValidationHarness:
         self._discard(skill_id)
         return report
 
-    def _empty_coverage(self, contract) -> dict:
-        return {
+    def _synthetic_error(self, skill_id: str, contract, message: str, attempt: int):
+        """The written report of a synthetic test that could not run."""
+        coverage = {
             "inputs": {i.name: "ignored" for i in contract.inputs},
             "outputs": {o.name: "missing" for o in contract.outputs},
         }
+        report = SyntheticReport(skill_id, coverage, "unstable", ("", ""), error=message)
+        self._write_report(report, attempt)
+        return report
 
     @staticmethod
     def _default_value(item) -> str:
@@ -674,19 +705,8 @@ class ValidationHarness:
             JOB_NAME_VAR: job_name,
             NTASKS_VAR: str(ntasks),
         }
-        exit_status, log, duration = self._run(smoke.argv(), sandbox, smoke.timeout, env)
-        report = TestReport(
-            skill_id=skill_id,
-            layer="system",
-            command=smoke.command,
-            exit_status=exit_status,
-            duration_seconds=duration,
-            log_digest=sha256_hex(normalize_output_bytes(log)),
-            artifacts_digest=self._artifacts_digest(sandbox),
-            verdict="pass" if exit_status == smoke.expected_exit else "fail",
-            rendered_submission=submission,
-        )
-        report.report_locator = self._write_report(report, attempt)
+        run = self._run(smoke.argv(), sandbox, smoke.timeout, env)
+        report = self._report_of_run(skill_id, "system", smoke, run, sandbox, attempt, submission)
         self._discard(skill_id)
         return report
 
@@ -697,8 +717,11 @@ class ValidationHarness:
         package: SkillPackage,
         cases: Sequence[BenchmarkCase],
         skill_id: str,
+        attempt: int = 1,
+        threshold: float = DEFAULT_ADVANTAGE_THRESHOLD,
     ) -> BenchmarkReport:
-        """Run with-skill and baseline arms per case and average the margin."""
+        """Run with-skill and baseline arms per case and average the margin;
+        the verdict is pass when the margin reaches ``threshold``."""
         if not cases:
             raise HarnessError("benchmark_compare requires at least one case")
         seen = set()
@@ -715,7 +738,10 @@ class ValidationHarness:
 
         margin = sum(w - b for _case, w, b in rows) / len(rows)
         self._discard(skill_id)
-        return BenchmarkReport(skill_id=skill_id, cases=rows, margin=margin)
+        verdict = "fail" if margin < threshold else "pass"
+        report = BenchmarkReport(skill_id=skill_id, cases=rows, margin=margin, verdict=verdict)
+        report.report_locator = self._write_report(report, attempt)
+        return report
 
     def _run_arm(
         self,
@@ -769,13 +795,15 @@ class ValidationHarness:
         cycle: int = 0,
         threshold: float = DEFAULT_ADVANTAGE_THRESHOLD,
     ) -> OptimizeOutcome:
-        """Revise and re-benchmark; exhaustion marks the skill review, not removed."""
+        """Revise and re-benchmark; exhaustion leads to review, not removal.
+        Round n's guard run and re-benchmark are written as attempt 100+n.
+        With ``registry``, the outcome is committed there."""
         if weak_report.margin >= threshold:
             raise HarnessError("optimize_loop requires a weak benchmark report")
         if budget < 1:
             raise HarnessError("optimize budget must be >= 1")
 
-        margins: list[float] = []
+        outcome = OptimizeOutcome(skill_id=skill_id, outcome="review", attempts=budget)
         for attempt in range(1, budget + 1):
             response = gateway.call(
                 "layer2_optimize",
@@ -793,7 +821,7 @@ class ValidationHarness:
 
             bad_paths = [a["path"] for a in actions if is_escaping_relpath(a["path"])]
             if bad_paths:
-                margins.append(weak_report.margin)
+                outcome.margins.append(weak_report.margin)
                 continue
             for action in actions:
                 atomic_write_text(package.root_path / action["path"], action["content"])
@@ -803,20 +831,21 @@ class ValidationHarness:
                 # The optimization broke the smoke surface; restore and move on.
                 shutil.rmtree(package.root_path)
                 shutil.copytree(backup, package.root_path)
-                margins.append(weak_report.margin)
+                outcome.margins.append(weak_report.margin)
                 continue
 
-            report = self.benchmark_compare(package, cases, skill_id)
-            margins.append(report.margin)
-            if not report.is_weak(threshold):
-                self._discard(skill_id)
-                return OptimizeOutcome(outcome="optimized", attempts=attempt, margins=margins)
+            report = self.benchmark_compare(package, cases, skill_id, 100 + attempt, threshold)
+            outcome.reports.append(report)
+            outcome.margins.append(report.margin)
+            if report.verdict == "pass":
+                outcome.outcome, outcome.attempts = "optimized", attempt
+                break
             weak_report = report
 
-        if registry is not None and registry.skill(skill_id).status == "verified":
-            registry.transition_skill(skill_id, "review", cycle)
         self._discard(skill_id)
-        return OptimizeOutcome(outcome="review", attempts=budget, margins=margins)
+        if registry is not None:
+            outcome.commit(registry, cycle)
+        return outcome
 
 
 def load_benchmark_cases(path: Path) -> list[BenchmarkCase]:

@@ -3,14 +3,17 @@ skill_test -> refresh, plus prompt-driven single-skill design.
 
 Stages 1-4 append to the record logs, and they write files of their own:
 skill_build compiles candidate packages into ``skills/`` and skill_test writes
-verification reports under ``reports/verifications/``. Only ``_commit_tree``,
-called by refresh and by a design commit, writes the tree snapshot
-(``tree.snapshot``), the compacted indexes (``index/``) and the
-``site/.stale`` marker, under the writer lock.
+verification reports under ``reports/verifications/`` and repaired packages
+back into ``skills/``. Only ``_commit_tree``, called by refresh and by a
+design commit, writes the tree snapshot (``tree.snapshot``), the compacted
+indexes (``index/``) and the ``site/.stale`` marker, under the writer lock.
 A stage error aborts the cycle before refresh and leaves those untouched
 (``test_aborted_cycle_leaves_committed_state_untouched`` and
 ``test_stages_one_to_four_never_mutate_committed_state`` pin this); the
-packages and reports it wrote stay.
+packages and reports it wrote stay. skill_test validates its candidates at
+once, so an error at one candidate may also leave later candidates'
+repaired packages, reports and consumed provider calls, which no record
+points at; which of them depends on timing.
 """
 
 from __future__ import annotations
@@ -100,6 +103,36 @@ class DesignReport(Record):
     resource_search_skipped: bool
     steps: list[str] = field(default_factory=list)
     verdict: str | None = None
+
+
+@dataclass
+class _Validation:
+    """What one skill's validation task decided, in the order it ran."""
+
+    execution: TestReport  # attempt 1
+    repair: RepairOutcome | None = None
+    synthetic: SyntheticReport | None = None
+    system: TestReport | None = None
+    error: Exception | None = None  # raised once what ran before it is committed
+
+    @property
+    def removed(self) -> bool:
+        return self.repair is not None and self.repair.outcome == "removed"
+
+    def flag_reason(self) -> str | None:
+        """Why the layer runs send the skill to review, or None."""
+        synthetic = self.synthetic
+        if synthetic is not None and not synthetic.clean:
+            if synthetic.error:
+                return f"synthetic error: {synthetic.error}"
+            if synthetic.stability != "stable":
+                return "synthetic instability"
+            if synthetic.coverage_gaps:
+                return f"coverage gaps: {', '.join(synthetic.coverage_gaps)}"
+            return f"missing outputs: {', '.join(synthetic.missing_outputs)}"
+        if self.system is not None and self.system.verdict != "pass":
+            return "system test failure"
+        return None
 
 
 @dataclass
@@ -415,116 +448,75 @@ class Pipeline:
         return package, entry
 
     def _stage_skill_test(self, focus_branch: str | None) -> tuple[str, str]:
-        """Run the candidates' validation on the pool; commit in build order.
-
-        Repairs call the gateway and write the registry, so they run here,
-        in the walk, as do the layer runs after a repair.
-        """
+        """Validate the candidates on the pool; commit in build order."""
         del focus_branch
         summaries: list[str] = []
-        testable: dict[str, str] = {}  # skill id -> package path
-        for _leaf, skill_id in self._scratch.built:
-            entry = self.registry.skill(skill_id)
-            if entry.smoke_target is not None:
-                testable[skill_id] = entry.package_path
+        entries = [self.registry.skill(skill_id) for _leaf, skill_id in self._scratch.built]
+        testable = [entry for entry in entries if entry.smoke_target is not None]
         with validation_pool(len(testable)) as pool:
-            runs = {s: pool.submit(self._validate, s, path) for s, path in testable.items()}
+            runs = {e.id: pool.submit(self._validate, e.id, e.package_path) for e in testable}
             for leaf, skill_id in self._scratch.built:
                 run = runs.get(skill_id)
                 if run is None:
                     self._scratch.untestable.append(skill_id)
                     summaries.append(f"{skill_id}:untestable")
                     continue
-                package, report, layers = run.result()
-                repair = self._commit_and_repair(package, skill_id, report)
-                if repair is not None:
-                    if repair.outcome == "removed":
-                        self._scratch.removed.append((leaf, skill_id))
-                        summaries.append(f"{skill_id}:removed")
-                        continue
-                    package = contractsmod.load_package(package.root_path)
-                    layers = self._run_layers(package, skill_id)
-                if isinstance(layers, Exception):
-                    raise layers
-                reason = self._judge_layers(skill_id, *layers)
-                if reason is None:
+                validation = run.result()
+                self._commit_validation(skill_id, validation)
+                reason = validation.flag_reason()
+                if validation.removed:
+                    self._scratch.removed.append((leaf, skill_id))
+                elif reason is None:
                     self._scratch.passed.append(skill_id)
-                    summaries.append(f"{skill_id}:pass")
                 else:
                     self._scratch.flagged.append((skill_id, reason))
-                    summaries.append(f"{skill_id}:flagged")
+                kind = "removed" if validation.removed else "flagged" if reason else "pass"
+                summaries.append(f"{skill_id}:{kind}")
         digest = sha256_hex(";".join(summaries).encode("utf-8"))
         return digest, f"tested={len(self._scratch.built)}"
 
-    def _validate(self, skill_id: str, package_path: str):
-        """Pool task: execution attempt 1 and, when it passes, the layer runs.
-
-        Returns (package, execution report, layer runs). A layer run's
-        exception is returned in place of the runs, so that the execution
-        record is committed before it is raised.
-        """
+    def _validate(self, skill_id: str, package_path: str, layers: bool = True) -> _Validation:
+        """One skill's validation, a pool task that writes no registry state:
+        execution attempt 1, a repair when it fails, and, with ``layers``
+        and unless the repair removed the skill, the synthetic run and the
+        system run when the package declares a scheduler and synthetic was
+        clean. An error after attempt 1 is returned with what ran before it."""
         package = contractsmod.load_package(self.root / package_path)
-        report = self.harness.execution_test(package, skill_id, attempt=1)
-        layers = None
-        if report.verdict == "pass":
-            try:
-                layers = self._run_layers(package, skill_id)
-            except Exception as exc:
-                layers = exc
-        return package, report, layers
+        validation = _Validation(self.harness.execution_test(package, skill_id, attempt=1))
+        try:
+            if validation.execution.verdict != "pass":
+                budget = self.config.repair_attempts
+                validation.repair = self.harness.repair_loop(
+                    package, skill_id, validation.execution, budget, self.gateway
+                )
+                package = contractsmod.load_package(package.root_path)
+            if layers and not validation.removed:
+                validation.synthetic = self.harness.synthetic_test(
+                    package, skill_id, SyntheticFixtures(), attempt=1
+                )
+                if validation.synthetic.clean and needs_scheduler(package):
+                    validation.system = self.harness.system_test(
+                        package, skill_id, SchedulerAdapter(), attempt=1
+                    )
+        except Exception as exc:
+            validation.error = exc
+        return validation
 
-    def _commit_and_repair(self, package, skill_id: str, report) -> RepairOutcome | None:
-        """Commit execution attempt 1; repair when it did not pass.
-
-        Returns the repair outcome, or None when the first attempt passed.
-        """
-        self._commit_report(skill_id, report, attempt=1)
-        if report.verdict == "pass":
-            return None
-        return self.harness.repair_loop(
-            package,
-            skill_id,
-            report,
-            budget=self.config.repair_attempts,
-            gateway=self.gateway,
-            registry=self.registry,
-            cycle=self.state.cycle_index,
-            promote=False,
-        )
-
-    def _run_layers(self, package, skill_id: str) -> tuple[SyntheticReport, TestReport | None]:
-        """Synthetic, then system when it applies and synthetic was clean."""
-        synthetic = self.harness.synthetic_test(
-            package, skill_id, SyntheticFixtures(), attempt=1
-        )
-        system = None
-        if synthetic.clean and needs_scheduler(package):
-            system = self.harness.system_test(package, skill_id, SchedulerAdapter(), attempt=1)
-        return synthetic, system
-
-    def _judge_layers(
-        self, skill_id: str, synthetic: SyntheticReport, system: TestReport | None
-    ) -> str | None:
-        """The flag reason from the layer runs, or None; commits the system record."""
-        if not synthetic.clean:
-            if synthetic.error:
-                return f"synthetic error: {synthetic.error}"
-            if synthetic.stability != "stable":
-                return "synthetic instability"
-            if synthetic.coverage_gaps:
-                return f"coverage gaps: {', '.join(synthetic.coverage_gaps)}"
-            return f"missing outputs: {', '.join(synthetic.missing_outputs)}"
-        if system is not None:
-            attempt = len(self.registry.verifications(skill_id, "system")) + 1
-            self._commit_report(skill_id, system, attempt)
-            if system.verdict != "pass":
-                return "system test failure"
-        return None
-
-    def _commit_report(self, skill_id: str, report: TestReport, attempt: int) -> None:
+    def _commit_validation(self, skill_id: str, validation: _Validation) -> None:
+        """Record what the task ran, in order, without promoting; then raise
+        its error, if it had one."""
+        cycle = self.state.cycle_index
         self.registry.set_verification(
-            skill_id, report.verification_record(attempt, self.state.cycle_index), promote=False
+            skill_id, validation.execution.verification_record(1, cycle), promote=False
         )
+        if validation.repair is not None:
+            validation.repair.commit(self.registry, cycle, promote=False)
+        if validation.system is not None:
+            self.registry.set_verification(
+                skill_id, validation.system.verification_record(1, cycle), promote=False
+            )
+        if validation.error is not None:
+            raise validation.error
 
     def _stage_refresh(self, focus_branch: str | None) -> tuple[str, str]:
         del focus_branch
@@ -539,7 +531,7 @@ class Pipeline:
             verdicts: dict[str, str] = {}
             local = self._local_index() if scratch.passed else None
             for skill_id in sorted(scratch.passed):
-                verdict = self._adjudicate(skill_id, local)
+                verdict = self.adjudicate(skill_id, local)
                 tree = noveltymod.apply_verdict(tree, self.registry, verdict, cycle)
                 verdicts[skill_id] = verdict.decision
 
@@ -649,7 +641,7 @@ class Pipeline:
             self._local = noveltymod.CatalogIndex(entries)
         return self._local
 
-    def _adjudicate(
+    def adjudicate(
         self, skill_id: str, local: noveltymod.CatalogIndex | None = None
     ) -> noveltymod.NoveltyVerdict:
         """Review one candidate against ``local``, else against a fresh read.
@@ -822,7 +814,7 @@ class Pipeline:
         contract = contractsmod.parse_contract(contract_doc)
         name = contract_doc.get("name") or key
         leaf = response.fields.get("target_leaf") or self._default_design_leaf()
-        package, entry = self._compile_skill(
+        _package, entry = self._compile_skill(
             leaf, name, contract, contract_doc, [*contract.provenance_links, *provenance_ids]
         )
         skill_id = entry.id
@@ -830,40 +822,27 @@ class Pipeline:
         steps.append(f"skill_build {skill_id}")
 
         # Unlike a cycle candidate, a design runs the execution layer only.
-        report = self.harness.execution_test(package, skill_id, attempt=1)
-        repair = self._commit_and_repair(package, skill_id, report)
-        if repair is not None:
-            steps.append(f"skill_test repair attempts={repair.attempts}")
-            if repair.outcome == "removed":
-                design = DesignReport(
-                    task_prompt=task_prompt,
-                    skill_id=skill_id,
-                    status="failed",
-                    resource_search_skipped=skipped_search,
-                    steps=steps + ["skill removed after budget exhaustion"],
-                )
-                self._archive_design(key, design, response)
-                return design
-        steps.append("skill_test pass")
-
-        with self.registry.lock:
-            verdict = self._adjudicate(skill_id)
-            tree = noveltymod.apply_verdict(self.tree, self.registry, verdict, cycle)
-            self._commit_tree(tree, "design")
-        steps.append(f"novelty_check verdict={verdict.decision}")
-
-        status = (
-            "verified" if self.registry.skill(skill_id).status == "verified" else "failed"
+        validation = self._validate(skill_id, entry.package_path, layers=False)
+        self._commit_validation(skill_id, validation)
+        if validation.repair is not None:
+            steps.append(f"skill_test repair attempts={validation.repair.attempts}")
+        design = DesignReport(task_prompt, skill_id, "failed", skipped_search, steps)
+        if validation.removed:
+            steps.append("skill removed after budget exhaustion")
+        else:
+            steps.append("skill_test pass")
+            with self.registry.lock:
+                verdict = self.adjudicate(skill_id)
+                tree = noveltymod.apply_verdict(self.tree, self.registry, verdict, cycle)
+                self._commit_tree(tree, "design")
+            steps.append(f"novelty_check verdict={verdict.decision}")
+            design.verdict = verdict.decision
+            if self.registry.skill(skill_id).status == "verified":
+                design.status = "verified"
+        payload = {"report": design.to_record(), "response": dict(response.fields)}
+        atomic_write_text(
+            self.root / REPORTS_DIR / "design" / f"{key}.json", dump_json_doc(payload)
         )
-        design = DesignReport(
-            task_prompt=task_prompt,
-            skill_id=skill_id,
-            status=status,
-            resource_search_skipped=skipped_search,
-            steps=steps,
-            verdict=verdict.decision,
-        )
-        self._archive_design(key, design, response)
         return design
 
     def _default_design_leaf(self) -> str:
@@ -871,9 +850,3 @@ class Pipeline:
         if not ranked:
             raise PipelineError("tree has no active leaves to attach a designed skill to")
         return ranked[0]
-
-    def _archive_design(self, key: str, design: DesignReport, response: StageResponse) -> None:
-        payload = {"report": design.to_record(), "response": dict(response.fields)}
-        atomic_write_text(
-            self.root / REPORTS_DIR / "design" / f"{key}.json", dump_json_doc(payload)
-        )

@@ -27,7 +27,6 @@ from .errors import (
 from .gateway import validate_response
 from .harness import load_benchmark_cases, validation_pool
 from .pipeline import Pipeline, leaf_key, leaf_slug_path
-from .registry import VerificationRecord
 from .util import (
     NOT_WRITTEN,
     Record,
@@ -355,34 +354,49 @@ def load_checkpoint(pipeline: Pipeline, campaign_id: str) -> CampaignCheckpoint:
 def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
     """Batched layer-2 evaluation over pending skills.
 
-    The batch's benchmark runs go to the validation pool; their records and
-    any optimization (which calls the gateway) are committed here in batch
-    order.
+    Each skill's benchmark run, and its optimization when the margin is
+    weak, is one task on the validation pool. The benchmark records and the
+    statuses the optimizations lead to are committed here in batch order; an
+    error inside an optimization is raised after its benchmark record.
     """
     from . import contracts as contractsmod
 
-    pending = sorted(pipeline.state.pending_skills)
-    batch = pending[:batch_size]
+    batch = sorted(pipeline.state.pending_skills)[:batch_size]
     outcomes: dict[str, str] = {}
     if not batch:
         return {"kind": "evaluation", "evaluated": [], "outcomes": {}, "note": "no pending skills"}
 
+    registry, harness = pipeline.registry, pipeline.harness
+    cycle = pipeline.state.cycle_index
     threshold = pipeline.config.advantage_threshold
-    statuses = {skill_id: pipeline.registry.skill(skill_id).status for skill_id in batch}
+    statuses = {skill_id: registry.skill(skill_id).status for skill_id in batch}
     roots = {
-        skill_id: pipeline.root / pipeline.registry.skill(skill_id).package_path
+        skill_id: pipeline.root / registry.skill(skill_id).package_path
         for skill_id in batch
         if statuses[skill_id] == "verified"
     }
-    runnable = [s for s, root in roots.items() if (root / "tests" / "benchmark.json").exists()]
+    attempts = {
+        skill_id: len(registry.verifications(skill_id, "benchmark")) + 1
+        for skill_id, root in roots.items()
+        if (root / "tests" / "benchmark.json").exists()
+    }
 
-    def benchmark(skill_id: str):
+    def evaluate(skill_id: str):
         cases = load_benchmark_cases(roots[skill_id] / "tests" / "benchmark.json")
         package = contractsmod.load_package(roots[skill_id])
-        return package, cases, pipeline.harness.benchmark_compare(package, cases, skill_id)
+        report = harness.benchmark_compare(package, cases, skill_id, attempts[skill_id], threshold)
+        if report.verdict == "pass":
+            return report, None
+        budget, gateway = pipeline.config.optimize_attempts, pipeline.gateway
+        try:
+            return report, harness.optimize_loop(
+                package, skill_id, report, budget, gateway, cases, threshold=threshold
+            )
+        except Exception as exc:
+            return report, exc
 
-    with validation_pool(len(runnable)) as pool:
-        runs = {skill_id: pool.submit(benchmark, skill_id) for skill_id in runnable}
+    with validation_pool(len(attempts)) as pool:
+        runs = {skill_id: pool.submit(evaluate, skill_id) for skill_id in attempts}
         for skill_id in batch:
             if statuses[skill_id] != "verified":
                 outcomes[skill_id] = f"skipped: status={statuses[skill_id]}"
@@ -390,38 +404,21 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
             if skill_id not in runs:
                 outcomes[skill_id] = "no-cases"
                 continue
-            package, cases, report = runs[skill_id].result()
-            attempt = len(pipeline.registry.verifications(skill_id, "benchmark")) + 1
-            pipeline.registry.set_verification(
-                skill_id,
-                VerificationRecord(
-                    skill_id=skill_id,
-                    layer="benchmark",
-                    outcome="pass" if not report.is_weak(threshold) else "fail",
-                    attempt=attempt,
-                    cycle=pipeline.state.cycle_index,
-                ),
-                promote=False,
+            report, optimized = runs[skill_id].result()
+            registry.set_verification(
+                skill_id, report.verification_record(attempts[skill_id], cycle), promote=False
             )
-            if report.is_weak(threshold):
-                outcome = pipeline.harness.optimize_loop(
-                    package,
-                    skill_id,
-                    report,
-                    budget=pipeline.config.optimize_attempts,
-                    gateway=pipeline.gateway,
-                    cases=cases,
-                    registry=pipeline.registry,
-                    cycle=pipeline.state.cycle_index,
-                    threshold=threshold,
-                )
-                outcomes[skill_id] = outcome.outcome
-            else:
+            if isinstance(optimized, Exception):
+                raise optimized
+            if optimized is None:
                 outcomes[skill_id] = f"advantage margin={report.margin:.4f}"
+            else:
+                optimized.commit(registry, cycle)
+                outcomes[skill_id] = optimized.outcome
 
-    # optimize_loop can move a skill from verified to review outside refresh.
-    if any(pipeline.registry.skill(s).status != status for s, status in statuses.items()):
-        pipeline.registry.compact_index(pipeline.tree)
+    # An optimization can move a skill from verified to review outside refresh.
+    if any(registry.skill(s).status != status for s, status in statuses.items()):
+        registry.compact_index(pipeline.tree)
     remaining = [s for s in pipeline.state.pending_skills if s not in batch]
     pipeline.state.pending_skills = tuple(remaining)
     return {"kind": "evaluation", "evaluated": batch, "outcomes": outcomes}

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from skillmine.cli import main
+from skillmine.workers import state_digest
 
-from conftest import FIXTURES
+from conftest import FAILING_SMOKE, FIXTURES, write_mock
 
 
 @pytest.fixture
@@ -129,6 +132,41 @@ def test_test_and_novelty_commands(tmp_path, taxonomy_file, campaign_script, cap
     code, out, _ = run_cli(args + ["novelty", skill], capsys)
     assert code == 0
     assert "novel" in out
+
+
+def test_test_command_leaves_the_committed_library_as_it_was(
+    tmp_path, taxonomy_file, campaign_script, capsys
+):
+    skill = "short-read-alignment-align-short-reads"
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    build = script / "skill_build__science--genomics--alignment--short-read-alignment__1.json"
+    document = json.loads(build.read_text())
+    artifacts = document["candidates"][0]["artifacts"]
+    fix = {"path": "tests/smoke.py", "content": artifacts["tests/smoke.py"]}
+    artifacts["tests/smoke.py"] = FAILING_SMOKE
+    build.write_text(json.dumps(document))
+    write_mock(script, "layer1_fix", skill, 1, {"diagnosis": "d", "edits": [fix], "retest": True})
+
+    root = tmp_path / "library"
+    args = base_args(root, script)
+    run_cli(args + ["init", str(taxonomy_file)], capsys)
+    code, _, _ = run_cli(args + ["campaign", "run", "mini", "--branches", "science/genomics"], capsys)
+    assert code == 0
+    attempt_1 = root / "reports" / "verifications" / skill / "execution" / "attempt-1.json"
+    before = attempt_1.read_bytes()
+    assert json.loads(before)["verdict"] == "fail"  # the skill was repaired
+    digest = state_digest(root)
+
+    for layer in ("execution", "synthetic", "benchmark"):
+        code, _, _ = run_cli(args + ["test", skill, "--layer", layer], capsys)
+        assert code == 0
+
+    assert attempt_1.read_bytes() == before
+    assert state_digest(root) == digest
+    code, out, _ = run_cli(args + ["campaign", "resume", "mini"], capsys)
+    assert code == 0
+    assert "completed" in out
 
 
 def test_design_skill_cli(tmp_path, taxonomy_file, capsys):

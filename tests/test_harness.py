@@ -49,6 +49,31 @@ def registry(tmp_path):
     return reg
 
 
+# The first attempt's log bytes of each repair and optimize test, by test.
+_LOGS: dict[str, tuple[bytes, bytes]] = {}
+
+
+@pytest.fixture(params=["registry=", "core+commit"])
+def commit_loop(request, registry):
+    """Run a repair or optimize loop that commits to ``registry`` one of two
+    ways: through its ``registry=`` argument, or as the loop without it
+    followed by the outcome's ``commit``. Both must leave the same log
+    bytes; the test's second run compares its logs with the first's."""
+
+    def run(loop, *args, cycle=0, **kwargs):
+        if request.param == "registry=":
+            return loop(*args, registry=registry, cycle=cycle, **kwargs)
+        outcome = loop(*args, **kwargs)
+        outcome.commit(registry, cycle)
+        return outcome
+
+    yield run
+    logs = tuple(
+        (registry.root / name).read_bytes() for name in ("skills.ndjson", "verifications.ndjson")
+    )
+    assert _LOGS.setdefault(request.node.originalname, logs) == logs
+
+
 def register(registry, skill_id, package_path="skills/x"):
     registry.upsert_skill(
         SkillEntry(
@@ -121,7 +146,9 @@ def fix_payload(content: str) -> dict:
     }
 
 
-def test_repair_fail_fix_pass_ends_verified_with_attempt_two(tmp_path, harness, registry):
+def test_repair_fail_fix_pass_ends_verified_with_attempt_two(
+    tmp_path, harness, registry, commit_loop
+):
     package = make_failing_package(tmp_path / "pkgs", name="fixme")
     register(registry, "fixme")
     script = tmp_path / "script"
@@ -135,7 +162,7 @@ def test_repair_fail_fix_pass_ends_verified_with_attempt_two(tmp_path, harness, 
             skill_id="fixme", layer="execution", outcome="fail", attempt=1, cycle=1
         ),
     )
-    outcome = harness.repair_loop(package, "fixme", failing, budget=3, gateway=gateway, registry=registry, cycle=1)
+    outcome = commit_loop(harness.repair_loop, package, "fixme", failing, budget=3, gateway=gateway, cycle=1)
 
     assert outcome.outcome == "repaired"
     assert outcome.attempts == 2
@@ -148,7 +175,9 @@ def test_repair_fail_fix_pass_ends_verified_with_attempt_two(tmp_path, harness, 
     assert "exit(1)" not in (package.root_path / "tests/smoke.py").read_text()
 
 
-def test_repair_always_fail_removed_after_exactly_budget_attempts(tmp_path, harness, registry):
+def test_repair_always_fail_removed_after_exactly_budget_attempts(
+    tmp_path, harness, registry, commit_loop
+):
     package = make_failing_package(tmp_path / "pkgs", name="hopeless")
     register(registry, "hopeless")
     script = tmp_path / "script"
@@ -163,8 +192,8 @@ def test_repair_always_fail_removed_after_exactly_budget_attempts(tmp_path, harn
             skill_id="hopeless", layer="execution", outcome="fail", attempt=1, cycle=1
         ),
     )
-    outcome = harness.repair_loop(
-        package, "hopeless", failing, budget=3, gateway=gateway, registry=registry, cycle=1
+    outcome = commit_loop(
+        harness.repair_loop, package, "hopeless", failing, budget=3, gateway=gateway, cycle=1
     )
 
     assert outcome.outcome == "removed"
@@ -174,7 +203,9 @@ def test_repair_always_fail_removed_after_exactly_budget_attempts(tmp_path, harn
     assert attempts == [1, 2, 3]
 
 
-def test_repair_rejects_escaping_edit_but_counts_the_attempt(tmp_path, harness, registry):
+def test_repair_rejects_escaping_edit_but_counts_the_attempt(
+    tmp_path, harness, registry, commit_loop
+):
     package = make_failing_package(tmp_path / "pkgs", name="escapee")
     register(registry, "escapee")
     script = tmp_path / "script"
@@ -199,8 +230,8 @@ def test_repair_rejects_escaping_edit_but_counts_the_attempt(tmp_path, harness, 
             skill_id="escapee", layer="execution", outcome="fail", attempt=1, cycle=1
         ),
     )
-    outcome = harness.repair_loop(
-        package, "escapee", failing, budget=3, gateway=gateway, registry=registry, cycle=1
+    outcome = commit_loop(
+        harness.repair_loop, package, "escapee", failing, budget=3, gateway=gateway, cycle=1
     )
 
     # attempt 2 was consumed by the rejected edit, attempt 3 passed
@@ -210,7 +241,7 @@ def test_repair_rejects_escaping_edit_but_counts_the_attempt(tmp_path, harness, 
     assert [r.outcome for r in records] == ["fail", "error", "pass"]
 
 
-def test_repair_budget_is_never_exceeded(tmp_path, harness, registry):
+def test_repair_budget_is_never_exceeded(tmp_path, harness, registry, commit_loop):
     package = make_failing_package(tmp_path / "pkgs", name="bounded")
     register(registry, "bounded")
     script = tmp_path / "script"
@@ -224,7 +255,7 @@ def test_repair_budget_is_never_exceeded(tmp_path, harness, registry):
             skill_id="bounded", layer="execution", outcome="fail", attempt=1, cycle=1
         ),
     )
-    harness.repair_loop(package, "bounded", failing, budget=2, gateway=gateway, registry=registry)
+    commit_loop(harness.repair_loop, package, "bounded", failing, budget=2, gateway=gateway)
     assert len(registry.verifications("bounded", "execution")) <= 2
 
 
@@ -382,8 +413,16 @@ def test_benchmark_margin_matches_arithmetic_oracle(tmp_path, harness):
     report = harness.benchmark_compare(package, cases, "bench-skill")
     expected = ((0.9 - 0.5) + (0.8 - 0.5)) / 2
     assert report.margin == pytest.approx(expected)
-    assert not report.is_weak(0.05)
+    assert report.verdict == "pass"
     assert [c[0] for c in report.cases] == ["c1", "c2"]
+    # The report is written where its locator points, and its record points there.
+    assert report.report_locator == "reports/verifications/bench-skill/benchmark/attempt-1.json"
+    written = harness.reports_root / "verifications/bench-skill/benchmark/attempt-1.json"
+    assert json.loads(written.read_text()) == json.loads(canonical_json(report.to_record()))
+    record = report.verification_record(attempt=1, cycle=2)
+    assert (record.layer, record.outcome, record.report_locator) == (
+        "benchmark", "pass", report.report_locator
+    )
 
 
 def test_benchmark_identical_scores_is_weak(tmp_path, harness):
@@ -391,7 +430,7 @@ def test_benchmark_identical_scores_is_weak(tmp_path, harness):
     cases = [scripted_case("c1", "0.7", "0.7")]
     report = harness.benchmark_compare(package, cases, "flat")
     assert report.margin == pytest.approx(0.0)
-    assert report.is_weak(0.05)
+    assert report.verdict == "fail"
 
 
 def test_benchmark_crashed_arm_scores_zero(tmp_path, harness):
@@ -434,7 +473,7 @@ def optimize_payload(edits):
     return {"actions": edits, "rebenchmark": True}
 
 
-def test_optimize_raises_margin_in_one_round(tmp_path, harness, registry):
+def test_optimize_raises_margin_in_one_round(tmp_path, harness, registry, commit_loop):
     package = bench_package(tmp_path / "pkgs", name="weakling")
     register(registry, "weakling", package_path="skills/weakling")
     # Scoring reads tuning.txt: it starts absent (weak) and an optimize edit adds it.
@@ -449,7 +488,7 @@ def test_optimize_raises_margin_in_one_round(tmp_path, harness, registry):
         ),
     )
     weak = harness.benchmark_compare(package, [case], "weakling")
-    assert weak.is_weak(0.05)
+    assert weak.verdict == "fail"
 
     script = tmp_path / "script"
     write_mock(
@@ -460,15 +499,19 @@ def test_optimize_raises_margin_in_one_round(tmp_path, harness, registry):
         optimize_payload([{"path": "scripts/tuned.txt", "content": "tuned\n"}]),
     )
     gateway = Gateway(MockProvider(script))
-    outcome = harness.optimize_loop(
-        package, "weakling", weak, budget=2, gateway=gateway, cases=[case], registry=registry
+    outcome = commit_loop(
+        harness.optimize_loop, package, "weakling", weak, budget=2, gateway=gateway, cases=[case]
     )
     assert outcome.outcome == "optimized"
     assert outcome.attempts == 1
     assert outcome.margins[-1] == pytest.approx(0.4)
+    # The round's re-benchmark is written as attempt 101, beside its guard run.
+    [rebenchmark] = outcome.reports
+    assert rebenchmark.report_locator.endswith("weakling/benchmark/attempt-101.json")
+    assert (harness.reports_root / "verifications/weakling/execution/attempt-101.json").is_file()
 
 
-def test_optimize_exhaustion_marks_review(tmp_path, harness, registry):
+def test_optimize_exhaustion_marks_review(tmp_path, harness, registry, commit_loop):
     package = bench_package(tmp_path / "pkgs", name="stubborn")
     register(registry, "stubborn", package_path="skills/stubborn")
     registry.set_verification(
@@ -479,19 +522,22 @@ def test_optimize_exhaustion_marks_review(tmp_path, harness, registry):
     )
     case = scripted_case("c1", "0.52", "0.5")
     weak = harness.benchmark_compare(package, [case], "stubborn")
-    assert weak.is_weak(0.05)
+    assert weak.verdict == "fail"
 
     script = tmp_path / "script"
     write_mock(script, "layer2_optimize", "stubborn", 1, optimize_payload([]))
     gateway = Gateway(MockProvider(script))
-    outcome = harness.optimize_loop(
-        package, "stubborn", weak, budget=2, gateway=gateway, cases=[case], registry=registry
+    outcome = commit_loop(
+        harness.optimize_loop, package, "stubborn", weak, budget=2, gateway=gateway, cases=[case]
     )
     assert outcome.outcome == "review"
     assert registry.skill("stubborn").status == "review"
+    assert [r.verdict for r in outcome.reports] == ["fail", "fail"]
 
 
-def test_optimize_restores_package_when_edit_breaks_smoke(tmp_path, harness, registry):
+def test_optimize_restores_package_when_edit_breaks_smoke(
+    tmp_path, harness, registry, commit_loop
+):
     package = bench_package(tmp_path / "pkgs", name="fragile")
     register(registry, "fragile", package_path="skills/fragile")
     before = (package.root_path / "tests" / "smoke.py").read_text()
@@ -507,8 +553,8 @@ def test_optimize_restores_package_when_edit_breaks_smoke(tmp_path, harness, reg
         optimize_payload([{"path": "tests/smoke.py", "content": FAILING_SMOKE}]),
     )
     gateway = Gateway(MockProvider(script))
-    outcome = harness.optimize_loop(
-        package, "fragile", weak, budget=1, gateway=gateway, cases=[case], registry=registry
+    outcome = commit_loop(
+        harness.optimize_loop, package, "fragile", weak, budget=1, gateway=gateway, cases=[case]
     )
     assert outcome.outcome == "review"
     assert (package.root_path / "tests" / "smoke.py").read_text() == before
@@ -589,6 +635,13 @@ CYCLE_REPORT = CycleReport(
             '"skill_id":"x","stability":"unstable"}',
         ),
         (
+            harnessmod.BenchmarkReport(
+                "x", [("c1", 0.9, 0.5)], 0.4, "pass",
+                report_locator="reports/verifications/x/benchmark/attempt-1.json",
+            ),
+            '{"cases":[["c1",0.9,0.5]],"margin":0.4,"skill_id":"x","verdict":"pass"}',
+        ),
+        (
             CYCLE_REPORT,
             '{"cycle_index":4,"focus_branch":null,"notes":["n"],"skills_created":["s1"],'
             '"skills_removed":[],"skills_verified":["s1"],"stages":[{"digest":"abc",'
@@ -605,7 +658,7 @@ CYCLE_REPORT = CycleReport(
         ),
     ],
     ids=["test-report", "test-report-with-submission", "synthetic", "synthetic-with-error",
-         "cycle", "design", "timing"],
+         "benchmark", "cycle", "design", "timing"],
 )
 def test_report_layout_is_pinned(report, expected):
     assert canonical_json(report.to_record()) == expected

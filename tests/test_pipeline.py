@@ -13,7 +13,12 @@ from skillmine import harness as harnessmod
 from skillmine import novelty as noveltymod
 from skillmine import tree as treemod
 from skillmine.contracts import SkillContract, compile_package, load_package
-from skillmine.errors import OutOfOrderStageError, PipelineError, RefreshAbortedError
+from skillmine.errors import (
+    OutOfOrderStageError,
+    PipelineError,
+    RefreshAbortedError,
+    SchemaViolationError,
+)
 from skillmine.harness import ValidationHarness
 from skillmine.pipeline import STAGE_ORDER, Pipeline
 from skillmine.registry import Registry, SkillEntry, VerificationRecord
@@ -333,6 +338,48 @@ def test_a_raising_validation_task_raises_after_the_serial_commits(
     assert [(r["skill_id"], r["layer"]) for r in records] == [(ALIGN_ID, "execution")]
 
 
+def test_a_raise_inside_a_repair_leaves_only_the_first_attempt_recorded(
+    tmp_path, campaign_script, monkeypatch
+):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    candidate = json.loads((script / ALIGN_BUILD).read_text())
+    candidate["candidates"][0]["artifacts"]["tests/smoke.py"] = FAILING_SMOKE
+    (script / ALIGN_BUILD).write_text(json.dumps(candidate))
+    # The first fix changes nothing; the second response breaks the schema.
+    write_mock(script, "layer1_fix", ALIGN_ID, 1, {"diagnosis": "d", "edits": [], "retest": True})
+    write_mock(script, "layer1_fix", ALIGN_ID, 2, {"diagnosis": "d", "retest": True})
+    logs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(harnessmod, "available_cpus", lambda n=workers: n)
+        engine = make_engine(tmp_path / f"workers-{workers}", script)
+        with pytest.raises(SchemaViolationError):
+            engine.run_cycle(focus_branch=GENOMICS)
+        assert engine.state.stage_cursor is None
+        logs.append(
+            {
+                name: (engine.root / name).read_bytes()
+                for name in ("skills.ndjson", "verifications.ndjson")
+            }
+        )
+        # The repair's first retest ran and wrote its report, which no
+        # record points at.
+        reports = engine.root / "reports" / "verifications" / ALIGN_ID / "execution"
+        assert sorted(p.name for p in reports.iterdir()) == ["attempt-1.json", "attempt-2.json"]
+    assert logs[0] == logs[1]
+    # The repair returned no outcome, so nothing of it is committed: only the
+    # align skill's attempt 1, which the task returned with the error. The
+    # skill stays untested, and the annotate skill after it is not committed.
+    records = [json.loads(line) for line in logs[0]["verifications.ndjson"].splitlines()]
+    assert [(r["skill_id"], r["attempt"], r["outcome"]) for r in records] == [
+        (ALIGN_ID, 1, "fail")
+    ]
+    statuses = [
+        (r["id"], r["status"]) for r in map(json.loads, logs[0]["skills.ndjson"].splitlines())
+    ]
+    assert statuses == [(ALIGN_ID, "untested"), (ANNOTATE_ID, "untested")]
+
+
 def test_two_runs_from_same_seed_are_byte_identical(tmp_path, campaign_script):
     a = make_engine(tmp_path / "a", campaign_script)
     b = make_engine(tmp_path / "b", campaign_script)
@@ -573,7 +620,7 @@ def test_review_sees_library_changes_between_calls(engine):
     add_skill(engine, "beta", "Plot cell clusters on a grid", ("draw the grid",))
     add_skill(engine, "gamma", "Align short reads to genomes", ("index then align",))
     add_skill(engine, "delta", "Align short reads to genomes", ("seed then extend",))
-    before = {s: engine._adjudicate(s).decision for s in ("alpha", "beta", "gamma", "delta")}
+    before = {s: engine.adjudicate(s).decision for s in ("alpha", "beta", "gamma", "delta")}
     assert before == {"alpha": "novel", "beta": "novel", "gamma": "merge", "delta": "merge"}
 
     # Same byte length and the same mtime, only the task scope differs.
@@ -589,9 +636,9 @@ def test_review_sees_library_changes_between_calls(engine):
 
     fresh = Pipeline(engine.config)
     for skill_id in ("alpha", "beta", "delta", "epsilon"):
-        assert engine._adjudicate(skill_id) == fresh._adjudicate(skill_id)
-    assert engine._adjudicate("beta").decision == "redundant"
-    assert engine._adjudicate("delta").supporting_matches[0].entry_ref == "epsilon"
+        assert engine.adjudicate(skill_id) == fresh.adjudicate(skill_id)
+    assert engine.adjudicate("beta").decision == "redundant"
+    assert engine.adjudicate("delta").supporting_matches[0].entry_ref == "epsilon"
 
 
 def test_a_review_opens_only_the_skill_json_files_that_changed(engine, monkeypatch):
@@ -606,19 +653,19 @@ def test_a_review_opens_only_the_skill_json_files_that_changed(engine, monkeypat
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(noveltymod, "open", counting_open, raising=False)
-    first = engine._adjudicate("alpha")
+    first = engine.adjudicate("alpha")
     assert sorted(opened) == [f"skills/{s}/skill.json" for s in ("alpha", "beta", "gamma")]
     opened.clear()
-    assert engine._adjudicate("alpha") == first
+    assert engine.adjudicate("alpha") == first
     assert opened == []
 
     metadata = engine.root / "skills" / "beta" / "skill.json"
     stat = metadata.stat()
     metadata.write_bytes(metadata.read_bytes().replace(b"short reads", b"long reads!"))
     os.utime(metadata, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    reference = Pipeline(engine.config)._adjudicate("alpha")
+    reference = Pipeline(engine.config).adjudicate("alpha")
     opened.clear()
-    assert engine._adjudicate("alpha") == reference
+    assert engine.adjudicate("alpha") == reference
     assert opened == ["skills/beta/skill.json"]
 
 
@@ -643,7 +690,7 @@ def test_the_local_index_is_kept_unless_an_entry_goes_or_changes_task(engine):
     assert current() is not first
     fresh = Pipeline(engine.config)
     for skill_id in ("alpha", "gamma"):
-        assert engine._adjudicate(skill_id) == fresh._adjudicate(skill_id)
+        assert engine.adjudicate(skill_id) == fresh.adjudicate(skill_id)
 
 
 PLOT = "Plot cell clusters on a grid"
@@ -697,7 +744,7 @@ def test_one_snapshot_refresh_equals_a_fresh_read_per_review(
 ):
     engine = refresh_mixed_candidates(tmp_path / "snapshot", campaign_script)
     with monkeypatch.context() as patch:
-        patch.setattr(Pipeline, "_adjudicate", reference_adjudicate)
+        patch.setattr(Pipeline, "adjudicate", reference_adjudicate)
         reference = refresh_mixed_candidates(tmp_path / "reference", campaign_script)
 
     assert engine._last_verdicts == reference._last_verdicts == {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +34,13 @@ from skillmine.workers import (
     state_digest,
 )
 
-from conftest import FIXTURES, make_engine, write_mock
+from conftest import FAILING_SMOKE, FIXTURES, make_engine, write_mock
 
 GENOMICS = "science/genomics"
 IMAGING = "science/imaging"
+ALIGN_ID = "short-read-alignment-align-short-reads"
+ANNOTATE_ID = "cell-type-annotation-annotate-cell-types"
+SEGMENT_ID = "segmentation-segment-grid-images"
 LEAVES = [
     "science/genomics/alignment/short-read-alignment",
     "science/genomics/alignment/variant-calling",
@@ -362,6 +366,24 @@ def test_evaluation_that_demotes_a_skill_recompacts_the_stats(tmp_path, campaign
     assert stats == engine.registry.snapshot_stats(engine.tree).to_record()
 
 
+def test_a_raise_inside_an_optimization_leaves_the_benchmark_record(tmp_path, campaign_script):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    build = script / "skill_build__science--genomics--alignment--short-read-alignment__1.json"
+    document = json.loads(build.read_text())
+    # A weak margin, and no scripted optimization: the first optimize call raises.
+    document["candidates"][0]["artifacts"]["scripts/score.py"] = 'print("0.5")\n'
+    build.write_text(json.dumps(document))
+    engine = make_engine(tmp_path / "library", script)
+    report = run_campaign(engine, CampaignConfig(campaign_id="miss", branch_schedule=(GENOMICS,)))
+    assert [phase["kind"] for phase in report.phases] == ["mining", "evaluation-failed"]
+    [record] = engine.registry.verifications(ALIGN_ID, "benchmark")
+    assert (record.outcome, record.report_locator) == (
+        "fail", f"reports/verifications/{ALIGN_ID}/benchmark/attempt-1.json"
+    )
+    assert engine.registry.skill(ALIGN_ID).status == "verified"
+
+
 def test_configured_zero_advantage_threshold_is_used_as_given(tmp_path, campaign_script):
     script = tmp_path / "script"
     shutil.copytree(campaign_script, script)
@@ -386,8 +408,46 @@ def test_configured_zero_advantage_threshold_is_used_as_given(tmp_path, campaign
     assert engine.registry.skill("short-read-alignment-align-short-reads").status == "verified"
 
 
+def plant_every_validation_path(script: Path) -> None:
+    """Edit a copy of the campaign script so that each validation path runs:
+    the align skill fails its smoke test until a repair fixes it, then
+    benchmarks weak until an optimization lifts it; no repair of the
+    annotate skill passes; the segmentation skill benchmarks weak and no
+    optimization changes that, so it goes to review."""
+
+    def edit(leaf: str, change) -> dict:
+        build = script / f"skill_build__science--{leaf}__1.json"
+        document = json.loads(build.read_text())
+        artifacts = document["candidates"][0]["artifacts"]
+        original = dict(artifacts)
+        change(artifacts)
+        build.write_text(json.dumps(document))
+        return original
+
+    align = edit(
+        "genomics--alignment--short-read-alignment",
+        lambda a: a.update({"tests/smoke.py": FAILING_SMOKE, "scripts/score.py": 'print("0.5")\n'}),
+    )
+    fix = [{"path": "tests/smoke.py", "content": align["tests/smoke.py"]}]
+    write_mock(script, "layer1_fix", ALIGN_ID, 1, {"diagnosis": "d", "edits": fix, "retest": True})
+    lift = [{"path": "scripts/score.py", "content": align["scripts/score.py"]}]
+    write_mock(script, "layer2_optimize", ALIGN_ID, 1, {"actions": lift, "rebenchmark": True})
+
+    edit("genomics--annotation--cell-type-annotation", lambda a: a.update({"tests/smoke.py": FAILING_SMOKE}))
+    write_mock(script, "layer1_fix", ANNOTATE_ID, 1, {"diagnosis": "d", "edits": [], "retest": True})
+
+    flat = {"id": "c1", "with_command": "python3 -c \"print(1)\"",
+            "baseline_command": "python3 -c \"print(0)\"", "score_command": "python3 -c \"print(0.5)\""}
+    edit(
+        "imaging--microscopy--segmentation",
+        lambda a: a.update({"tests/benchmark.json": json.dumps({"cases": [flat]})}),
+    )
+    write_mock(script, "layer2_optimize", SEGMENT_ID, 1, {"actions": [], "rebenchmark": True})
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["fixture", "every-path-planted"])
 def test_campaign_library_is_the_same_with_one_or_four_validation_workers(
-    tmp_path, campaign_script, monkeypatch
+    tmp_path, campaign_script, monkeypatch, planted
 ):
     from concurrent.futures import ThreadPoolExecutor
 
@@ -399,23 +459,45 @@ def test_campaign_library_is_the_same_with_one_or_four_validation_workers(
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    if planted:
+        script = tmp_path / "script"
+        shutil.copytree(campaign_script, script)
+        plant_every_validation_path(script)
+    else:
+        script = campaign_script
     monkeypatch.setattr(harnessmod, "ThreadPoolExecutor", RecordingPool)
     digests = []
     for workers in (1, 4):
         sizes: list[int] = []
         monkeypatch.setattr(harnessmod, "available_cpus", lambda n=workers: n)
         root = tmp_path / f"workers-{workers}" / "library"
-        engine = make_engine(root, campaign_script, catalogs=(FIXTURES / "catalog_hub.ndjson",))
+        engine = make_engine(root, script, catalogs=(FIXTURES / "catalog_hub.ndjson",))
         config = CampaignConfig(
             campaign_id="acceptance", branch_schedule=(GENOMICS, IMAGING), cycles_per_branch=2
         )
-        assert run_campaign(engine, config).status == "completed"
+        report = run_campaign(engine, config)
+        assert report.status == "completed"
         export_site(engine.registry, engine.tree, root / "site")
         digests.append(
-            (digest_dir(root, exclude=("LOCK", "workspaces", "sandbox")), digest_dir(root / "site"))
+            (
+                digest_dir(root, exclude=("LOCK", "workspaces", "sandbox")),
+                digest_dir(root / "site"),
+                engine.gateway.export_counters(),
+            )
         )
         assert max(sizes) == min(workers, 2)  # two candidates in a genomics cycle
     assert digests[0] == digests[1]
+    if planted:
+        outcomes = {}
+        for phase in report.evaluation_phases:
+            outcomes.update(phase["outcomes"])
+        assert outcomes == {ALIGN_ID: "optimized", SEGMENT_ID: "review"}
+        history = [line["status"] for line in engine.registry.skill_history(ALIGN_ID)]
+        assert sorted(set(history), key=history.index) == ["untested", "repaired", "verified"]
+        assert engine.registry.skill(ANNOTATE_ID).status == "removed"
+        counters = digests[0][2]
+        assert counters[f"layer1_fix__{ANNOTATE_ID}"] == 2
+        assert counters[f"layer2_optimize__{SEGMENT_ID}"] == 2
 
 
 def test_campaign_halts_after_consecutive_failures(tmp_path, campaign_script):
