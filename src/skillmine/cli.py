@@ -18,7 +18,7 @@ from . import tree as treemod
 from . import workers as workersmod
 from .config import EngineConfig, load_config
 from .errors import SkillmineError
-from .harness import SchedulerAdapter, SyntheticFixtures, load_benchmark_cases
+from .harness import load_benchmark_cases
 from .pipeline import Pipeline
 from .registry import open_registry
 
@@ -145,7 +145,7 @@ def _dispatch(args) -> int:
             pipeline.root / pipeline.registry.skill(skill_id).package_path
         )
         if args.layer == "synthetic":
-            report = harness.synthetic_test(package, skill_id, SyntheticFixtures())
+            report = harness.synthetic_test(package, skill_id)
             gaps = ", ".join(report.coverage_gaps) or "none"
             print(f"test {skill_id} synthetic: {report.stability}; gaps: {gaps}")
             return 0 if report.clean else 1
@@ -159,7 +159,7 @@ def _dispatch(args) -> int:
             report = harness.execution_test(package, skill_id)
             print(f"test {skill_id} execution: {report.verdict}")
         else:
-            report = harness.system_test(package, skill_id, SchedulerAdapter())
+            report = harness.system_test(package, skill_id)
             print(f"test {skill_id} system: {report.verdict}")
         return 0 if report.verdict == "pass" else 1
 

@@ -3,7 +3,9 @@
 A package is a directory with ``SKILL.md`` (human-readable spec),
 ``skill.json`` (machine-readable mirror), ``PROVENANCE.md``, and ``scripts/``,
 ``examples/``, ``tests/`` subtrees. Compilation is deterministic: the same
-contract and artifacts always produce byte-identical output.
+contract and artifacts always produce byte-identical output. The smoke target
+is the first test command, a plain string: the harness runs it at the package
+root and a run passes on exit status 0.
 """
 
 from __future__ import annotations
@@ -67,17 +69,6 @@ class SkillContract:
     follow_up_guidance: str = ""
     example_invocations: tuple[str, ...] = ()
     test_commands: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TestCommand:
-    command: str
-    workdir: str = "."
-    expected_exit: int = 0
-    timeout: float = 5.0
-
-    def argv(self) -> list[str]:
-        return tokenize_command(self.command)
 
 
 @dataclass(frozen=True)
@@ -307,11 +298,15 @@ def compile_package(
     dest_root: str | Path,
     name: str = "Skill",
 ) -> SkillPackage:
-    """Lay the package out on disk; deterministic and idempotent."""
+    """Lay the package out on disk; deterministic and idempotent. An
+    artifact that escapes ``dest_root`` or would replace one of the three
+    documents is refused before anything is written."""
     dest = Path(dest_root)
     for rel in artifacts:
         if is_escaping_relpath(rel):
             raise PathEscapeError(rel)
+        if os.path.normpath(rel) in (SPEC_DOCUMENT, METADATA_DOCUMENT, PROVENANCE_DOCUMENT):
+            raise PackageError(f"artifact {rel} would replace the package's own document")
     dest.mkdir(parents=True, exist_ok=True)
     for sub in PACKAGE_DIRS:
         (dest / sub).mkdir(exist_ok=True)
@@ -412,9 +407,7 @@ def _spec_metadata_divergences(markdown: str, contract: SkillContract) -> list[s
     return findings
 
 
-def resolve_smoke_target(package: SkillPackage, timeout: float = 5.0) -> TestCommand | None:
+def resolve_smoke_target(package: SkillPackage) -> str | None:
     """First declared test command, or None when the package ships no tests."""
-    contract = package.contract()
-    if not contract.test_commands:
-        return None
-    return TestCommand(command=contract.test_commands[0], timeout=timeout)
+    commands = package.contract().test_commands
+    return commands[0] if commands else None

@@ -170,19 +170,11 @@ class HarnessError(SkillmineError):
     pass
 
 
-class MissingFixtureError(HarnessError):
-    pass
-
-
 class NotApplicableError(HarnessError):
     pass
 
 
 class NonNumericScoreError(HarnessError):
-    pass
-
-
-class AdapterConfigError(HarnessError):
     pass
 
 

@@ -3,9 +3,12 @@
 Every validation run is hermetic: commands execute in a private sandbox
 directory with a scrubbed environment and a wall-clock timeout, and nothing is
 written outside the sandbox, the append-only report tree and the package that a
-repair or an optimization edits. Sandboxes follow
-``<base>/<skill-id>/<layer>/<attempt>/``. Runs for different skills share
-no path, so they may run at once on a ``validation_pool``.
+repair or an optimization edits. A run passes when its command exits 0 within
+the harness ``timeout``. Every sandbox, each run's and the repair work copy
+and optimize backups alike, comes from ``ValidationHarness._sandbox`` at
+``<base>/<skill-id>/<layer>/<name>/`` and is removed when its block ends, also
+by an exception, unless ``keep_sandboxes`` is set. Runs for different skills
+share no path, so they may run at once on a ``validation_pool``.
 
 No run writes the registry: the repair and optimize loops return what they
 decided, and the outcome's ``commit`` records it. A caller that aborts before
@@ -15,7 +18,6 @@ consumed provider calls, with no record pointing at them.
 
 from __future__ import annotations
 
-import fnmatch
 import hashlib
 import os
 import re
@@ -35,9 +37,7 @@ from .contracts import (
     tokenize_command,
 )
 from .errors import (
-    AdapterConfigError,
     HarnessError,
-    MissingFixtureError,
     NonNumericScoreError,
     NotApplicableError,
     PathEscapeError,
@@ -63,8 +63,11 @@ NTASKS_VAR = "SF_NTASKS"
 
 DEFAULT_TIMEOUT = 5.0
 DEFAULT_ADVANTAGE_THRESHOLD = 0.05
-DEFAULT_REPAIR_BUDGET = 3
-DEFAULT_OPTIMIZE_BUDGET = 2
+
+# The simulated batch scheduler: its task limit, default task count and queue.
+MAX_TASKS = 8
+DEFAULT_TASKS = 1
+QUEUE = "standard"
 
 _BASE_ENV = {
     "PATH": "/usr/local/bin:/usr/bin:/bin",
@@ -201,34 +204,21 @@ class OptimizeOutcome:
             registry.transition_skill(self.skill_id, "review", cycle)
 
 
-@dataclass
-class SyntheticFixtures:
-    values: dict[str, str] = field(default_factory=dict)
-    volatile_patterns: tuple[str, ...] = ()
-    use_defaults: bool = True
+def job_id_for(job_name: str) -> str:
+    """The simulated scheduler's job id: a function of the job name."""
+    seed = int.from_bytes(hashlib.sha256(job_name.encode("utf-8")).digest()[:4], "big")
+    return str(10000 + seed % 90000)
 
 
-@dataclass(frozen=True)
-class SchedulerAdapter:
-    """Simulated batch scheduler: renders submissions and runs them locally."""
-
-    max_tasks: int = 8
-    default_tasks: int = 1
-    queue: str = "standard"
-
-    def job_id_for(self, job_name: str) -> str:
-        seed = int.from_bytes(hashlib.sha256(job_name.encode("utf-8")).digest()[:4], "big")
-        return str(10000 + seed % 90000)
-
-    def render_submission(self, job_name: str, command: str, ntasks: int) -> str:
-        lines = [
-            "# simulated batch submission",
-            f"job-name={job_name}",
-            f"ntasks={ntasks}",
-            f"queue={self.queue}",
-            f"command={command}",
-        ]
-        return "\n".join(lines) + "\n"
+def render_submission(job_name: str, command: str, ntasks: int) -> str:
+    lines = [
+        "# simulated batch submission",
+        f"job-name={job_name}",
+        f"ntasks={ntasks}",
+        f"queue={QUEUE}",
+        f"command={command}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 _SCHEDULER_HINT = re.compile(r"(^scheduler\b|slurm)", re.IGNORECASE)
@@ -240,13 +230,13 @@ def needs_scheduler(package: SkillPackage) -> bool:
     return any(_SCHEDULER_HINT.search(a) for a in contract.environment_assumptions)
 
 
-def requested_tasks(package: SkillPackage, adapter: SchedulerAdapter) -> int:
+def requested_tasks(package: SkillPackage) -> int:
     contract = package.contract()
     for assumption in contract.environment_assumptions:
         match = _NTASKS_HINT.search(assumption)
         if match:
             return int(match.group(1))
-    return adapter.default_tasks
+    return DEFAULT_TASKS
 
 
 def available_cpus() -> int:
@@ -273,14 +263,6 @@ def validation_pool(tasks: int) -> Iterator[ThreadPoolExecutor]:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _copy_package(package_root: Path, dest: Path) -> None:
-    shutil.copytree(package_root, dest, dirs_exist_ok=True)
-
-
-def _matches_any(rel: str, patterns: Sequence[str]) -> bool:
-    return any(fnmatch.fnmatch(rel, pattern) for pattern in patterns)
-
-
 class ValidationHarness:
     def __init__(
         self,
@@ -299,19 +281,28 @@ class ValidationHarness:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _sandbox(self, skill_id: str, layer: str, attempt: int | str) -> Path:
-        path = self.sandbox_root / skill_id / layer / str(attempt)
+    @contextmanager
+    def _sandbox(
+        self, package: SkillPackage, skill_id: str, layer: str, name: int | str
+    ) -> Iterator[Path]:
+        """A fresh copy of ``package`` at ``<skill>/<layer>/<name>/``. Leaving
+        the block, also by an exception, removes it and the layer and skill
+        directories it leaves empty, never the root, unless ``keep_sandboxes``."""
+        path = self.sandbox_root / skill_id / layer / str(name)
         if path.exists():
             shutil.rmtree(path)
-        path.mkdir(parents=True)
-        return path
-
-    def _discard(self, skill_id: str) -> None:
-        if self.keep_sandboxes:
-            return
-        target = self.sandbox_root / skill_id
-        if target.exists():
-            shutil.rmtree(target, ignore_errors=True)
+        try:
+            shutil.copytree(package.root_path, path)
+            yield path
+        finally:
+            if not self.keep_sandboxes:
+                shutil.rmtree(path, ignore_errors=True)
+                # Another run or a repair's work copy may still use a parent.
+                for parent in (path.parent, path.parent.parent):
+                    try:
+                        parent.rmdir()
+                    except OSError:
+                        break
 
     def _run(
         self,
@@ -371,21 +362,21 @@ class ValidationHarness:
         return report
 
     def _report_of_run(
-        self, skill_id: str, layer: str, smoke, run: tuple[int | None, bytes, float],
+        self, skill_id: str, layer: str, command: str, run: tuple[int | None, bytes, float],
         sandbox: Path, attempt: int, submission: str | None = None,
     ) -> TestReport:
-        """The written report of ``smoke``'s ``run`` (exit status, log,
-        duration) in ``sandbox``."""
+        """The written report of ``command``'s ``run`` (exit status, log,
+        duration) in ``sandbox``: a pass is exit status 0."""
         exit_status, log, duration = run
         report = TestReport(
             skill_id=skill_id,
             layer=layer,
-            command=smoke.command,
+            command=command,
             exit_status=exit_status,
             duration_seconds=duration,
             log_digest=sha256_hex(normalize_output_bytes(log)),
             artifacts_digest=self._artifacts_digest(sandbox),
-            verdict="pass" if exit_status == smoke.expected_exit else "fail",
+            verdict="pass" if exit_status == 0 else "fail",
             rendered_submission=submission,
         )
         report.report_locator = self._write_report(report, attempt)
@@ -409,34 +400,22 @@ class ValidationHarness:
         skill_id: str,
         attempt: int = 1,
     ) -> TestReport:
-        """Run the smoke target in isolation, under ``self.timeout`` and
-        ``keep_sandboxes``; error is reserved for harness faults."""
-        smoke = resolve_smoke_target(package, timeout=self.timeout)
+        """Run the smoke target in its sandbox under ``self.timeout``; error
+        is reserved for harness faults."""
+        smoke = resolve_smoke_target(package)
         if smoke is None:
             return self._report_without_run(
                 skill_id, "execution", "", "[no smoke target]", "error", attempt
             )
 
-        sandbox = self._sandbox(skill_id, "execution", attempt)
-        try:
-            _copy_package(package.root_path, sandbox)
-            run = self._run(smoke.argv(), sandbox / smoke.workdir, smoke.timeout)
-        except HarnessError as exc:
-            return self._report_without_run(
-                skill_id, "execution", smoke.command, str(exc), "error", attempt
-            )
-
-        report = self._report_of_run(skill_id, "execution", smoke, run, sandbox, attempt)
-        if not self.keep_sandboxes:
-            shutil.rmtree(sandbox, ignore_errors=True)
-            # The layer and skill directories too, unless a repair's work
-            # directory or another run is still in them; never the root.
-            for parent in (sandbox.parent, sandbox.parent.parent):
-                try:
-                    parent.rmdir()
-                except OSError:
-                    break
-        return report
+        with self._sandbox(package, skill_id, "execution", attempt) as sandbox:
+            try:
+                run = self._run(tokenize_command(smoke), sandbox, self.timeout)
+            except HarnessError as exc:
+                return self._report_without_run(
+                    skill_id, "execution", smoke, str(exc), "error", attempt
+                )
+            return self._report_of_run(skill_id, "execution", smoke, run, sandbox, attempt)
 
     def repair_loop(
         self,
@@ -461,56 +440,51 @@ class ValidationHarness:
         if budget < 1:
             raise HarnessError("repair budget must be >= 1")
 
-        workdir = self.sandbox_root / skill_id / "repair" / "work"
-        if workdir.exists():
-            shutil.rmtree(workdir)
-        _copy_package(package.root_path, workdir)
-        work_package = load_package(workdir)
-
         outcome = RepairOutcome(
             skill_id=skill_id, outcome="removed", attempts=1, reports=[failing_report]
         )
         last_log = f"verdict={failing_report.verdict} exit={failing_report.exit_status}"
-        while outcome.attempts < budget:
-            response = gateway.call(
-                "layer1_fix",
-                {
-                    "target_skill": skill_id,
-                    "failure_log": last_log,
-                    "MODE": "cycle",
-                },
-                key=skill_id,
-            )
-            edits = response.fields["edits"]
-            outcome.attempts += 1
-            attempt = outcome.attempts
-
-            rejected = [e["path"] for e in edits if is_escaping_relpath(e["path"])]
-            if rejected:
-                # A rejected edit consumes the attempt without a rerun.
-                message = f"edit rejected (path escape): {', '.join(rejected)}"
-                report = self._report_without_run(
-                    skill_id, "execution", failing_report.command, message, "error", attempt
+        with self._sandbox(package, skill_id, "repair", "work") as workdir:
+            work_package = load_package(workdir)
+            while outcome.attempts < budget:
+                response = gateway.call(
+                    "layer1_fix",
+                    {
+                        "target_skill": skill_id,
+                        "failure_log": last_log,
+                        "MODE": "cycle",
+                    },
+                    key=skill_id,
                 )
-            else:
-                for edit in edits:
-                    atomic_write_text(workdir / edit["path"], edit["content"])
-                outcome.edited = True
-                report = self.execution_test(work_package, skill_id, attempt=attempt)
-            outcome.reports.append(report)
-            if report.verdict == "pass":
-                # Persist the repaired surface back into the real package.
-                shutil.rmtree(package.root_path)
-                shutil.copytree(workdir, package.root_path)
-                outcome.outcome = "repaired"
-                break
-            last_log = (
-                "previous edit rejected: path escaped the package root"
-                if rejected
-                else f"verdict={report.verdict} exit={report.exit_status}"
-            )
+                edits = response.fields["edits"]
+                outcome.attempts += 1
+                attempt = outcome.attempts
 
-        self._discard(skill_id)
+                rejected = [e["path"] for e in edits if is_escaping_relpath(e["path"])]
+                if rejected:
+                    # A rejected edit consumes the attempt without a rerun.
+                    message = f"edit rejected (path escape): {', '.join(rejected)}"
+                    report = self._report_without_run(
+                        skill_id, "execution", failing_report.command, message, "error", attempt
+                    )
+                else:
+                    for edit in edits:
+                        atomic_write_text(workdir / edit["path"], edit["content"])
+                    outcome.edited = True
+                    report = self.execution_test(work_package, skill_id, attempt=attempt)
+                outcome.reports.append(report)
+                if report.verdict == "pass":
+                    # Persist the repaired surface back into the real package.
+                    shutil.rmtree(package.root_path)
+                    shutil.copytree(workdir, package.root_path)
+                    outcome.outcome = "repaired"
+                    break
+                last_log = (
+                    "previous edit rejected: path escaped the package root"
+                    if rejected
+                    else f"verdict={report.verdict} exit={report.exit_status}"
+                )
+
         if registry is not None:
             outcome.commit(registry, cycle)
         return outcome
@@ -521,11 +495,10 @@ class ValidationHarness:
         self,
         package: SkillPackage,
         skill_id: str,
-        fixtures: SyntheticFixtures | None = None,
         attempt: int = 1,
     ) -> SyntheticReport:
-        """Invoke twice under fixed mock inputs; check coverage and stability."""
-        fixtures = fixtures or SyntheticFixtures()
+        """Invoke twice under fixed mock inputs, each input's default value;
+        check coverage and stability."""
         contract = package.contract()
 
         command = None
@@ -537,21 +510,11 @@ class ValidationHarness:
             message = "no invocation available for synthetic testing"
             return self._synthetic_error(skill_id, contract, message, attempt)
 
-        values: dict[str, str] = {}
-        for item in contract.inputs:
-            if item.name in fixtures.values:
-                values[item.name] = fixtures.values[item.name]
-            elif fixtures.use_defaults:
-                values[item.name] = self._default_value(item)
-            elif item.required:
-                raise MissingFixtureError(f"no fixture value for required input {item.name}")
-
+        values = {item.name: self._default_value(item) for item in contract.inputs}
         input_coverage: dict[str, str] = {}
         try:
-            digest_a, observed = self._synthetic_run(
-                package, skill_id, command, values, fixtures, "run-1"
-            )
-            digest_b, _ = self._synthetic_run(package, skill_id, command, values, fixtures, "run-2")
+            digest_a, observed = self._synthetic_run(package, skill_id, command, values, "run-1")
+            digest_b, _ = self._synthetic_run(package, skill_id, command, values, "run-2")
             for item in contract.inputs:
                 if not item.required:
                     input_coverage[item.name] = "exercised"
@@ -559,7 +522,7 @@ class ValidationHarness:
                 perturbed = dict(values)
                 perturbed[item.name] = self._perturb(values[item.name])
                 digest_p, _ = self._synthetic_run(
-                    package, skill_id, command, perturbed, fixtures, f"ablate-{item.name}"
+                    package, skill_id, command, perturbed, f"ablate-{item.name}"
                 )
                 input_coverage[item.name] = "ignored" if digest_p == digest_a else "exercised"
         except HarnessError as exc:
@@ -580,7 +543,6 @@ class ValidationHarness:
             run_digests=(digest_a, digest_b),
         )
         self._write_report(report, attempt)
-        self._discard(skill_id)
         return report
 
     def _synthetic_error(self, skill_id: str, contract, message: str, attempt: int):
@@ -614,58 +576,52 @@ class ValidationHarness:
         skill_id: str,
         command: str,
         values: Mapping[str, str],
-        fixtures: SyntheticFixtures,
         run_name: str,
     ) -> tuple[str, dict[str, bool]]:
         contract = package.contract()
-        sandbox = self._sandbox(skill_id, "synthetic", run_name)
-        _copy_package(package.root_path, sandbox)
+        with self._sandbox(package, skill_id, "synthetic", run_name) as sandbox:
+            substitutions: dict[str, str] = {}
+            for item in contract.inputs:
+                if item.kind == "file":
+                    rel = f"inputs/{item.name}"
+                    atomic_write_text(sandbox / rel, values[item.name])
+                    substitutions[item.name] = rel
+                else:
+                    substitutions[item.name] = values[item.name]
 
-        substitutions: dict[str, str] = {}
-        for item in contract.inputs:
-            if item.name not in values:
-                continue
-            if item.kind == "file":
-                rel = f"inputs/{item.name}"
-                atomic_write_text(sandbox / rel, values[item.name])
-                substitutions[item.name] = rel
-            else:
-                substitutions[item.name] = values[item.name]
+            rendered = command
+            for name, value in substitutions.items():
+                rendered = rendered.replace("{" + name + "}", value)
+            argv = tokenize_command(rendered)
 
-        rendered = command
-        for name, value in substitutions.items():
-            rendered = rendered.replace("{" + name + "}", value)
-        argv = tokenize_command(rendered)
+            before = file_manifest(sandbox)
+            exit_status, log, _duration = self._run(argv, sandbox, self.timeout)
+            if exit_status is None:
+                raise HarnessError(f"synthetic invocation timed out: {rendered}")
 
-        before = file_manifest(sandbox)
-        exit_status, log, _duration = self._run(argv, sandbox, self.timeout)
-        if exit_status is None:
-            raise HarnessError(f"synthetic invocation timed out: {rendered}")
+            after = file_manifest(sandbox)
+            changed: list[tuple[str, str]] = []
+            for rel in sorted(after):
+                if rel.startswith("inputs/"):
+                    continue
+                if before.get(rel) != after[rel]:
+                    normalized = sha256_hex(normalize_output_bytes((sandbox / rel).read_bytes()))
+                    changed.append((rel, normalized))
 
-        after = file_manifest(sandbox)
-        volatile = tuple(fixtures.volatile_patterns)
-        changed: list[tuple[str, str]] = []
-        for rel in sorted(after):
-            if rel.startswith("inputs/") or _matches_any(rel, volatile):
-                continue
-            if before.get(rel) != after[rel]:
-                normalized = sha256_hex(normalize_output_bytes((sandbox / rel).read_bytes()))
-                changed.append((rel, normalized))
+            digest = hashlib.sha256()
+            digest.update(str(exit_status).encode("ascii"))
+            digest.update(sha256_hex(normalize_output_bytes(log)).encode("ascii"))
+            for rel, content_hash in changed:
+                digest.update(rel.encode("utf-8"))
+                digest.update(content_hash.encode("ascii"))
 
-        digest = hashlib.sha256()
-        digest.update(str(exit_status).encode("ascii"))
-        digest.update(sha256_hex(normalize_output_bytes(log)).encode("ascii"))
-        for rel, content_hash in changed:
-            digest.update(rel.encode("utf-8"))
-            digest.update(content_hash.encode("ascii"))
-
-        observed: dict[str, bool] = {}
-        for output in contract.outputs:
-            if output.kind == "stream":
-                observed[output.name] = bool(log.strip())
-            else:
-                observed[output.name] = (sandbox / output.name).is_file()
-        return digest.hexdigest(), observed
+            observed: dict[str, bool] = {}
+            for output in contract.outputs:
+                if output.kind == "stream":
+                    observed[output.name] = bool(log.strip())
+                else:
+                    observed[output.name] = (sandbox / output.name).is_file()
+            return digest.hexdigest(), observed
 
     # -- system ---------------------------------------------------------------------
 
@@ -673,42 +629,38 @@ class ValidationHarness:
         self,
         package: SkillPackage,
         skill_id: str,
-        adapter: SchedulerAdapter,
         attempt: int = 1,
     ) -> TestReport:
         """Render a batch submission and execute it on the simulated backend."""
-        if not isinstance(adapter, SchedulerAdapter):
-            raise AdapterConfigError("system_test requires a SchedulerAdapter")
         if not needs_scheduler(package):
             raise NotApplicableError(
                 f"package for {skill_id} declares no scheduler-dependent assumption"
             )
-        smoke = resolve_smoke_target(package, timeout=self.timeout)
+        smoke = resolve_smoke_target(package)
         if smoke is None:
             raise NotApplicableError(f"package for {skill_id} has no test command to submit")
 
-        ntasks = requested_tasks(package, adapter)
+        ntasks = requested_tasks(package)
         job_name = f"skill-{skill_id}"
-        submission = adapter.render_submission(job_name, smoke.command, ntasks)
+        submission = render_submission(job_name, smoke, ntasks)
 
-        if ntasks > adapter.max_tasks:
-            message = f"queue rejection: ntasks={ntasks} exceeds max={adapter.max_tasks}"
+        if ntasks > MAX_TASKS:
+            message = f"queue rejection: ntasks={ntasks} exceeds max={MAX_TASKS}"
             return self._report_without_run(
-                skill_id, "system", smoke.command, message, "fail", attempt, submission
+                skill_id, "system", smoke, message, "fail", attempt, submission
             )
 
-        sandbox = self._sandbox(skill_id, "system", attempt)
-        _copy_package(package.root_path, sandbox)
-        atomic_write_text(sandbox / "submission.txt", submission)
-        env = {
-            JOB_ID_VAR: adapter.job_id_for(job_name),
-            JOB_NAME_VAR: job_name,
-            NTASKS_VAR: str(ntasks),
-        }
-        run = self._run(smoke.argv(), sandbox, smoke.timeout, env)
-        report = self._report_of_run(skill_id, "system", smoke, run, sandbox, attempt, submission)
-        self._discard(skill_id)
-        return report
+        with self._sandbox(package, skill_id, "system", attempt) as sandbox:
+            atomic_write_text(sandbox / "submission.txt", submission)
+            env = {
+                JOB_ID_VAR: job_id_for(job_name),
+                JOB_NAME_VAR: job_name,
+                NTASKS_VAR: str(ntasks),
+            }
+            run = self._run(tokenize_command(smoke), sandbox, self.timeout, env)
+            return self._report_of_run(
+                skill_id, "system", smoke, run, sandbox, attempt, submission
+            )
 
     # -- layer 2: benchmark -------------------------------------------------------------
 
@@ -737,7 +689,6 @@ class ValidationHarness:
             rows.append((case.case_id, with_score, base_score))
 
         margin = sum(w - b for _case, w, b in rows) / len(rows)
-        self._discard(skill_id)
         verdict = "fail" if margin < threshold else "pass"
         report = BenchmarkReport(skill_id=skill_id, cases=rows, margin=margin, verdict=verdict)
         report.report_locator = self._write_report(report, attempt)
@@ -751,21 +702,20 @@ class ValidationHarness:
         arm: str,
         command: str,
     ) -> float:
-        sandbox = self._sandbox(skill_id, "benchmark", f"{case.case_id}-{arm}")
-        _copy_package(package.root_path, sandbox)
-        for rel, content in case.fixtures.items():
-            if is_escaping_relpath(rel):
-                raise PathEscapeError(rel)
-            atomic_write_text(sandbox / rel, content)
+        with self._sandbox(package, skill_id, "benchmark", f"{case.case_id}-{arm}") as sandbox:
+            for rel, content in case.fixtures.items():
+                if is_escaping_relpath(rel):
+                    raise PathEscapeError(rel)
+                atomic_write_text(sandbox / rel, content)
 
-        exit_status, _log, _d = self._run(tokenize_command(command), sandbox, self.timeout)
-        if exit_status != 0:
-            # A crashed arm scores zero for that arm; this is data, not an error.
-            return 0.0
+            exit_status, _log, _d = self._run(tokenize_command(command), sandbox, self.timeout)
+            if exit_status != 0:
+                # A crashed arm scores zero for that arm; this is data, not an error.
+                return 0.0
 
-        score_exit, score_log, _d = self._run(
-            tokenize_command(case.score_command), sandbox, self.timeout
-        )
+            score_exit, score_log, _d = self._run(
+                tokenize_command(case.score_command), sandbox, self.timeout
+            )
         text = score_log.decode("utf-8", errors="replace").strip().split()
         if score_exit != 0 or not text:
             raise NonNumericScoreError(
@@ -814,25 +764,21 @@ class ValidationHarness:
                 key=skill_id,
             )
             actions = response.fields["actions"]
-            backup = self.sandbox_root / skill_id / "optimize" / f"backup-{attempt}"
-            if backup.exists():
-                shutil.rmtree(backup)
-            shutil.copytree(package.root_path, backup)
-
             bad_paths = [a["path"] for a in actions if is_escaping_relpath(a["path"])]
             if bad_paths:
                 outcome.margins.append(weak_report.margin)
                 continue
-            for action in actions:
-                atomic_write_text(package.root_path / action["path"], action["content"])
 
-            guard = self.execution_test(package, skill_id, attempt=100 + attempt)
-            if guard.verdict != "pass":
-                # The optimization broke the smoke surface; restore and move on.
-                shutil.rmtree(package.root_path)
-                shutil.copytree(backup, package.root_path)
-                outcome.margins.append(weak_report.margin)
-                continue
+            with self._sandbox(package, skill_id, "optimize", f"backup-{attempt}") as backup:
+                for action in actions:
+                    atomic_write_text(package.root_path / action["path"], action["content"])
+                guard = self.execution_test(package, skill_id, attempt=100 + attempt)
+                if guard.verdict != "pass":
+                    # The optimization broke the smoke surface; restore and move on.
+                    shutil.rmtree(package.root_path)
+                    shutil.copytree(backup, package.root_path)
+                    outcome.margins.append(weak_report.margin)
+                    continue
 
             report = self.benchmark_compare(package, cases, skill_id, 100 + attempt, threshold)
             outcome.reports.append(report)
@@ -842,7 +788,6 @@ class ValidationHarness:
                 break
             weak_report = report
 
-        self._discard(skill_id)
         if registry is not None:
             outcome.commit(registry, cycle)
         return outcome

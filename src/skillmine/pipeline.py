@@ -28,15 +28,16 @@ from . import novelty as noveltymod
 from . import tree as treemod
 from .config import EngineConfig
 from .errors import (
+    ContractError,
     OutOfOrderStageError,
+    PackageError,
+    PathEscapeError,
     PipelineError,
     RefreshAbortedError,
 )
 from .gateway import EffortProfile, Gateway, LiveProvider, MockProvider, StageResponse
 from .harness import (
     RepairOutcome,
-    SchedulerAdapter,
-    SyntheticFixtures,
     SyntheticReport,
     TestReport,
     ValidationHarness,
@@ -396,21 +397,25 @@ class Pipeline:
             self._scratch.notes.append(f"duplicate-candidate: {name} at {leaf}")
             return False
 
-        contract = contractsmod.parse_contract(candidate)
-        violations = contractsmod.contract_violations(contract)
-        if not contract.provenance_links:
-            violations.append("mined contract has empty provenance")
+        # A candidate that does not parse or compile costs only itself.
+        try:
+            contract = contractsmod.parse_contract(candidate)
+            violations = contractsmod.contract_violations(contract)
+            if not contract.provenance_links:
+                violations.append("mined contract has empty provenance")
+            if not violations:
+                # Provenance links arrive as locators; map them onto recorded resource ids.
+                provenance = []
+                for link in contract.provenance_links:
+                    resource = self.registry.resource_by_locator(link)
+                    provenance.append(resource.id if resource else link)
+                package, entry = self._compile_skill(leaf, name, contract, candidate, provenance)
+        except (ContractError, PackageError, PathEscapeError) as exc:
+            violations = [str(exc)]
         if violations:
             self._scratch.notes.append(f"contract-violations: {name}: {'; '.join(violations)}")
             return False
 
-        # Provenance links arrive as locators; map them onto recorded resource ids.
-        provenance = []
-        for link in contract.provenance_links:
-            resource = self.registry.resource_by_locator(link)
-            provenance.append(resource.id if resource else link)
-
-        package, entry = self._compile_skill(leaf, name, contract, candidate, provenance)
         findings = contractsmod.lint_package(package)
         if findings:
             self._scratch.notes.append(f"lint-findings: {entry.id}: {'; '.join(findings)}")
@@ -491,13 +496,9 @@ class Pipeline:
                 )
                 package = contractsmod.load_package(package.root_path)
             if layers and not validation.removed:
-                validation.synthetic = self.harness.synthetic_test(
-                    package, skill_id, SyntheticFixtures(), attempt=1
-                )
+                validation.synthetic = self.harness.synthetic_test(package, skill_id)
                 if validation.synthetic.clean and needs_scheduler(package):
-                    validation.system = self.harness.system_test(
-                        package, skill_id, SchedulerAdapter(), attempt=1
-                    )
+                    validation.system = self.harness.system_test(package, skill_id)
         except Exception as exc:
             validation.error = exc
         return validation

@@ -292,8 +292,7 @@ class CampaignCheckpoint(Record):
     completed_cycles: list[int]
     pending_skills: list[str]
     cursor: int  # completed phases
-    registry_digest: str
-    tree_digest: str
+    registry_digest: str  # state_digest, which covers tree.snapshot
     cycle_index: int
     provider_counters: dict[str, int] = field(default_factory=dict)
     phases: list[dict] = field(default_factory=list)
@@ -317,11 +316,6 @@ class CampaignReport:
         return [p for p in self.phases if p["kind"] == "evaluation"]
 
 
-def _tree_digest(pipeline: Pipeline) -> str:
-    snapshot = pipeline.root / "tree.snapshot"
-    return sha256_hex(snapshot.read_bytes()) if snapshot.exists() else ""
-
-
 def checkpoint_campaign(
     pipeline: Pipeline, config: CampaignConfig, cursor: int, phases: list[dict],
     completed_cycles: list[int], failures_in_row: int,
@@ -332,7 +326,6 @@ def checkpoint_campaign(
         pending_skills=sorted(pipeline.state.pending_skills),
         cursor=cursor,
         registry_digest=state_digest(pipeline.root),
-        tree_digest=_tree_digest(pipeline),
         cycle_index=pipeline.state.cycle_index,
         provider_counters=pipeline.gateway.export_counters(),
         phases=list(phases),
@@ -466,8 +459,6 @@ def resume_campaign(
             f"campaign {campaign_id}: registry digest mismatch "
             f"(checkpoint {checkpoint.registry_digest[:12]}, disk {current_digest[:12]})"
         )
-    if checkpoint.tree_digest != _tree_digest(pipeline):
-        raise DigestMismatchError(f"campaign {campaign_id}: tree snapshot digest mismatch")
 
     stored = checkpoint.config
     # Older checkpoints name their mining mode; campaigns mine by cycles only.

@@ -11,15 +11,12 @@ from skillmine import harness as harnessmod
 from skillmine.contracts import ContractInput, compile_package
 from skillmine.errors import (
     HarnessError,
-    MissingFixtureError,
     NonNumericScoreError,
     NotApplicableError,
 )
 from skillmine.gateway import Gateway, MockProvider
 from skillmine.harness import (
     BenchmarkCase,
-    SchedulerAdapter,
-    SyntheticFixtures,
     SyntheticReport,
     ValidationHarness,
     load_benchmark_cases,
@@ -122,6 +119,14 @@ def test_execution_without_smoke_target_is_error_verdict(tmp_path, harness):
     package = compile_package(contract, {}, tmp_path / "pkgs" / "no-tests", name="no-tests")
     report = harness.execution_test(package, "no-tests")
     assert report.verdict == "error"
+
+
+def test_a_missing_command_is_an_error_that_leaves_no_sandbox(tmp_path, harness):
+    contract = passing_contract(test_commands=("no-such-command-on-path",))
+    package = compile_package(contract, {}, tmp_path / "pkgs" / "missing", name="missing")
+    report = harness.execution_test(package, "missing")
+    assert report.verdict == "error"
+    assert list(harness.sandbox_root.iterdir()) == []
 
 
 def test_execution_reports_identical_up_to_duration(tmp_path, harness):
@@ -294,16 +299,6 @@ def test_synthetic_coverage_keys_match_contract(tmp_path, harness):
     assert set(report.contract_coverage["outputs"]) == {o.name for o in contract.outputs}
 
 
-def test_synthetic_missing_fixture_when_defaults_disabled(tmp_path, harness):
-    package = make_ignored_input_package(tmp_path / "pkgs")
-    with pytest.raises(MissingFixtureError):
-        harness.synthetic_test(
-            package,
-            "fixture-ignored-input",
-            SyntheticFixtures(values={}, use_defaults=False),
-        )
-
-
 HANG_WHEN_PERTURBED = """\
 import sys
 import time
@@ -335,6 +330,7 @@ def test_synthetic_ablation_timeout_is_an_error_report(tmp_path):
         (harness.reports_root / "verifications" / "echo" / "synthetic" / "attempt-1.json").read_text()
     )
     assert persisted["error"] == report.error
+    assert list(harness.sandbox_root.iterdir()) == []
 
 
 # -- system -------------------------------------------------------------------------
@@ -342,7 +338,7 @@ def test_synthetic_ablation_timeout_is_an_error_report(tmp_path):
 
 def test_system_test_renders_submission_and_passes(tmp_path, harness):
     package = make_scheduler_package(tmp_path / "pkgs", ntasks=2)
-    report = harness.system_test(package, "fixture-sched", SchedulerAdapter())
+    report = harness.system_test(package, "fixture-sched")
     assert report.verdict == "pass"
     assert report.rendered_submission is not None
     assert "job-name=skill-fixture-sched" in report.rendered_submission
@@ -351,7 +347,7 @@ def test_system_test_renders_submission_and_passes(tmp_path, harness):
 
 def test_system_test_requires_injected_job_id(tmp_path, harness):
     package = make_scheduler_package(tmp_path / "pkgs", ntasks=1, name="sched-env")
-    report = harness.system_test(package, "sched-env", SchedulerAdapter())
+    report = harness.system_test(package, "sched-env")
     assert report.verdict == "pass"
     # Without injection the same script fails: run it as a plain execution test.
     plain = harness.execution_test(package, "sched-env")
@@ -361,12 +357,13 @@ def test_system_test_requires_injected_job_id(tmp_path, harness):
 def test_system_test_not_applicable_without_scheduler_assumption(tmp_path, harness):
     package = make_passing_package(tmp_path / "pkgs")
     with pytest.raises(NotApplicableError):
-        harness.system_test(package, "fixture-pass", SchedulerAdapter())
+        harness.system_test(package, "fixture-pass")
 
 
 def test_system_test_simulated_queue_rejection(tmp_path, harness):
     package = make_scheduler_package(tmp_path / "pkgs", ntasks=64, name="greedy")
-    report = harness.system_test(package, "greedy", SchedulerAdapter(max_tasks=8))
+    assert harnessmod.MAX_TASKS == 8
+    report = harness.system_test(package, "greedy")
     assert report.verdict == "fail"
     assert "ntasks=64" in (report.rendered_submission or "")
 
@@ -458,6 +455,7 @@ def test_benchmark_non_numeric_score_is_an_error(tmp_path, harness):
     )
     with pytest.raises(NonNumericScoreError):
         harness.benchmark_compare(package, [case], "texty")
+    assert list(harness.sandbox_root.iterdir()) == []
 
 
 def test_benchmark_requires_cases(tmp_path, harness):

@@ -445,6 +445,35 @@ def test_history_lines_are_never_rewritten(tmp_path, campaign_script):
     assert (engine.root / "verifications.ndjson").read_bytes().startswith(verifs_before)
 
 
+@pytest.mark.parametrize(
+    "name, breakage, error",
+    [
+        ("bad-escape", {"artifacts": {"../escape.txt": "x"}}, "path escapes its root"),
+        ("bad-clobber", {"artifacts": {"skill.json": "{}"}}, "would replace"),
+        ("bad-quote", {"test_commands": ["python3 'tests/smoke.py"]}, "unparseable command"),
+    ],
+)
+def test_a_malformed_candidate_costs_only_itself(
+    tmp_path, campaign_script, name, breakage, error
+):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    document = json.loads((script / ALIGN_BUILD).read_text())
+    good = document["candidates"][0]
+    document["candidates"].append({**good, "name": name, **breakage})
+    (script / ALIGN_BUILD).write_text(json.dumps(document))
+    engine = make_engine(tmp_path / "library", script)
+    report = engine.run_cycle(focus_branch=GENOMICS)
+
+    assert report.skills_created == sorted([ALIGN_ID, ANNOTATE_ID])
+    assert engine.registry.skill(ALIGN_ID).status == "verified"
+    [note] = [n for n in report.notes if n.startswith(f"contract-violations: {name}:")]
+    assert error in note
+    leaf_dir = (engine.root / engine.registry.skill(ALIGN_ID).package_path).parent
+    # No orphan package directory and no escaped file beside the good package.
+    assert sorted(p.name for p in leaf_dir.iterdir()) == [ALIGN_ID]
+
+
 def test_candidate_cap_limits_builds_per_leaf(tmp_path, campaign_script):
     script = tmp_path / "script"
     script.mkdir()

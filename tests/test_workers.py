@@ -536,7 +536,7 @@ def test_checkpoint_layout_is_pinned_and_loads_back():
     stored = json.loads(canonical_json(config.to_record()))
     checkpoint = CampaignCheckpoint(
         campaign_id="camp", completed_cycles=[1], pending_skills=["s"], cursor=2,
-        registry_digest="rd", tree_digest="td", cycle_index=3,
+        registry_digest="rd", cycle_index=3,
         provider_counters={"skill_build": 2}, phases=[{"kind": "mining"}], config=stored,
     )
     assert canonical_json(checkpoint.to_record()) == (
@@ -544,9 +544,12 @@ def test_checkpoint_layout_is_pinned_and_loads_back():
         '["science/genomics"],"cycles_per_branch":1,"eval_batch_size":null,'
         '"failure_halt_limit":null},"cursor":2,"cycle_index":3,"failures_in_row":0,'
         '"pending_skills":["s"],"phases":[{"kind":"mining"}],'
-        '"provider_counters":{"skill_build":2},"registry_digest":"rd","tree_digest":"td"}'
+        '"provider_counters":{"skill_build":2},"registry_digest":"rd"}'
     )
     assert CampaignCheckpoint.from_record(checkpoint.to_record()) == checkpoint
+    # A checkpoint written with the former tree_digest field still loads.
+    old = {**checkpoint.to_record(), "tree_digest": "td"}
+    assert CampaignCheckpoint.from_record(old) == checkpoint
     assert CampaignConfig.from_record({**stored, "campaign_id": "camp"}) == config
 
 
