@@ -8,7 +8,9 @@ review or deprioritize, never upgrade toward novel.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -21,6 +23,7 @@ from . import tree as treemod
 from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
 from .registry import Registry, SkillEntry
+from .util import json_objects
 
 SAME_TASK_JACCARD = 0.6
 SAME_SCOPE_JACCARD = 0.6
@@ -48,8 +51,10 @@ class KeywordSet:
         return frozenset(self.terms)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
+    """One entry of a catalog. A tuple, not a dataclass: a cold review
+    builds one per line of a 20,000-entry catalog file."""
+
     catalog_id: str
     entry_ref: str
     task_description: str
@@ -249,6 +254,50 @@ class CatalogIndex:
         return [self.entries[p] for p in sorted(positions)]
 
 
+_TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+# A token too long to be a stop word; failing one, a token that is not a stop word.
+_LONG_TOKEN = re.compile("[a-z0-9]{%d}" % (max(map(len, STOP_WORDS)) + 1))
+_CONTENT_TOKEN = re.compile(
+    "(?<![a-z0-9])(?!(?:%s)(?![a-z0-9]))[a-z0-9]+" % "|".join(sorted(STOP_WORDS))
+)
+
+
+def scan_sharing(entries: Sequence[CatalogEntry], unigrams: set[str]) -> list[CatalogEntry]:
+    """``CatalogIndex(entries).sharing(unigrams)``, found without the index.
+
+    Building an index tokenizes every task text, which costs several scans,
+    so one search over a catalog is cheaper without it. The lowercased task
+    texts are joined by "\\n" and each unigram is found in the joined text
+    with ``str.find``; a hit counts when it is a whole token, with no
+    [a-z0-9] on either side. Only the unigrams an index can hold are looked
+    for: a stop word, or a term with any other character, is in no posting.
+    An entry has no unigram when no token of its task text is outside the
+    stop words; a token too long to be a stop word is looked for first.
+    """
+    texts = [entry.task_description.lower() for entry in entries]
+    found = {
+        position
+        for position, long_token in enumerate(map(_LONG_TOKEN.search, texts))
+        if long_token is None and _CONTENT_TOKEN.search(texts[position]) is None
+    }
+    joined = "\n".join(texts)
+    # starts[p] is where text p begins in ``joined``.
+    starts = [0, *itertools.accumulate(len(text) + 1 for text in texts)]
+    size = len(joined)
+    for term in unigrams:
+        if term in STOP_WORDS or not _TOKEN.fullmatch(term):
+            continue
+        at = joined.find(term)
+        while at >= 0:
+            end = at + len(term)
+            if (at == 0 or joined[at - 1] not in _TOKEN_CHARS) and (
+                end == size or joined[end] not in _TOKEN_CHARS
+            ):
+                found.add(bisect.bisect_right(starts, at) - 1)
+            at = joined.find(term, end)
+    return [entries[position] for position in sorted(found)]
+
+
 def search_catalogs(
     catalogs: Mapping[str, Sequence[CatalogEntry] | CatalogIndex],
     keywords: KeywordSet,
@@ -260,13 +309,15 @@ def search_catalogs(
 ) -> list[CatalogMatch]:
     """Classify the entries that can overlap the candidate; return the top matches.
 
-    A catalog given as a ``CatalogIndex`` is reused; a plain sequence is
-    indexed here. Only the entries that share a unigram with the keywords or
-    with ``candidate_task_text``, plus those with no unigram, are classified,
-    and the result equals classifying every entry. A Jaccard score above zero
-    needs a shared term, and every term of an entry, unigram or bigram, is
-    made of the entry's own unigrams. Equal normalized task texts have equal
-    unigram sets; when those are empty the entry is one with no unigram.
+    A catalog given as a ``CatalogIndex`` is searched through it; a plain
+    sequence is scanned by ``scan_sharing``, which finds the same entries
+    without building an index. Only the entries that share a unigram with
+    the keywords or with ``candidate_task_text``, plus those with no
+    unigram, are classified, and the result equals classifying every entry.
+    A Jaccard score above zero needs a shared term, and every term of an
+    entry, unigram or bigram, is made of the entry's own unigrams. Equal
+    normalized task texts have equal unigram sets; when those are empty the
+    entry is one with no unigram.
 
     An entry for which ``skip`` is true is passed over before classification
     and before the cut, so the result equals searching the catalogs with
@@ -278,8 +329,11 @@ def search_catalogs(
     matches: list[CatalogMatch] = []
     for catalog_id in sorted(catalogs):
         catalog = catalogs[catalog_id]
-        index = catalog if isinstance(catalog, CatalogIndex) else CatalogIndex(catalog)
-        for entry in index.sharing(query):
+        if isinstance(catalog, CatalogIndex):
+            sharing = catalog.sharing(query)
+        else:
+            sharing = scan_sharing(catalog, query)
+        for entry in sharing:
             if skip is not None and skip(entry):
                 continue
             overlap, score = classify_entry(
@@ -450,33 +504,35 @@ def _local_survivor(registry: Registry, verdict: NoveltyVerdict):
 
 
 def load_catalog_snapshot(path: str | Path, catalog_id: str | None = None) -> list[CatalogEntry]:
-    """Read a newline-delimited catalog snapshot file."""
+    """Read a newline-delimited catalog snapshot file.
+
+    Lines are decoded by ``util.json_objects``, as the registry decodes its
+    logs: each to what ``json.loads`` gives it. A line that is not a JSON
+    object, or lacks ``entry_ref`` or ``task_description``, raises
+    ``CatalogReadError`` naming the file and line.
+    """
     path = Path(path)
     name = catalog_id or path.stem
-    entries: list[CatalogEntry] = []
     try:
         text = path.read_text("utf-8")
     except OSError as exc:
         raise CatalogReadError(f"unreadable catalog snapshot {path}: {exc}") from None
-    # Entries end at "\n" alone: str.splitlines() would also split at U+0085
-    # or U+2028, which JSON allows unescaped inside a string.
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CatalogReadError(f"{path}:{line_no}: {exc}") from None
+
+    def unreadable(line_no: int, detail: str) -> CatalogReadError:
+        return CatalogReadError(f"{path}:{line_no}: {detail}")
+
+    entries: list[CatalogEntry] = []
+    for line_no, record in json_objects(text, unreadable):
         if "entry_ref" not in record or "task_description" not in record:
-            raise CatalogReadError(f"{path}:{line_no}: entry_ref and task_description are required")
+            raise unreadable(line_no, "entry_ref and task_description are required")
         entries.append(
             CatalogEntry(
-                catalog_id=name,
-                entry_ref=record["entry_ref"],
-                task_description=record["task_description"],
-                scope_summary=record.get("scope_summary", ""),
-                topic_path=record.get("topic_path", ""),
-                provenance=tuple(record.get("provenance", [])),
+                name,
+                record["entry_ref"],
+                record["task_description"],
+                record.get("scope_summary", ""),
+                record.get("topic_path", ""),
+                tuple(record.get("provenance", ())),
             )
         )
     return entries

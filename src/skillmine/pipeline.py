@@ -184,9 +184,11 @@ class Pipeline:
         self.state = PipelineState()
         self._scratch = _CycleScratch()
         self._external_catalogs: dict[str, list[noveltymod.CatalogEntry]] | None = None
-        # Novelty inputs kept for the life of the pipeline: the external
-        # catalogs' index, built at the first review, the local skills'
-        # texts keyed on their skill.json files, and the local index.
+        # Novelty inputs kept for the life of the pipeline: whether it has
+        # reviewed (its first review scans the catalogs, later ones search
+        # indexes), the external catalogs' index, the local skills' texts
+        # keyed on their skill.json files, and the local index.
+        self._reviewed = False
         self._external_index: dict[str, noveltymod.CatalogIndex] | None = None
         self._local_texts: dict[str, noveltymod.LocalText] = {}
         self._local: noveltymod.CatalogIndex | None = None
@@ -629,15 +631,18 @@ class Pipeline:
             elif status in ("untested", "repaired"):
                 self.registry.transition_skill(skill_id, "removed", cycle)
 
+    def _local_entries(self) -> list[noveltymod.CatalogEntry]:
+        return noveltymod.local_catalog_entries(
+            self.registry, self.root, self._local_texts, self.harness.sandbox_root
+        )
+
     def _local_index(self) -> noveltymod.CatalogIndex:
         """The index over the local library, brought up to date once per commit.
 
         It is kept across commits: a commit that changed only scopes or
         added skills updates it in place, and any other change rebuilds it.
         """
-        entries = noveltymod.local_catalog_entries(
-            self.registry, self.root, self._local_texts, self.harness.sandbox_root
-        )
+        entries = self._local_entries()
         if self._local is None or not self._local.update(entries):
             self._local = noveltymod.CatalogIndex(entries)
         return self._local
@@ -660,13 +665,20 @@ class Pipeline:
         except noveltymod.EmptyKeywordsError:
             scope_keywords = None
 
-        if self._external_index is None:
-            self._external_index = {
-                catalog_id: noveltymod.CatalogIndex(entries)
-                for catalog_id, entries in self.external_catalogs().items()
-            }
+        # A pipeline's first review scans the catalogs, which costs less than
+        # indexing them; from its second review on it searches indexes.
+        first = not self._reviewed
+        self._reviewed = True
+        external = self._external_index
+        if external is None:
+            external = self.external_catalogs()
+            if not first:
+                external = self._external_index = {
+                    catalog_id: noveltymod.CatalogIndex(entries)
+                    for catalog_id, entries in external.items()
+                }
         if local is None:
-            local = self._local_index()
+            local = self._local_entries() if first else self._local_index()
 
         def skip(e: noveltymod.CatalogEntry) -> bool:
             return e.catalog_id == "local" and (
@@ -674,7 +686,7 @@ class Pipeline:
             )
 
         matches = noveltymod.search_catalogs(
-            {"local": local, **self._external_index},
+            {"local": local, **external},
             keywords,
             limit=self.config.novelty_match_limit,
             candidate_task_text=contract.task_scope,

@@ -32,7 +32,16 @@ from .errors import (
     RegistryError,
     UnknownSkillError,
 )
-from .util import OMIT_NONE, REQUIRED, Record, atomic_write_text, canonical_json, dump_json_doc, slugify
+from .util import (
+    OMIT_NONE,
+    REQUIRED,
+    Record,
+    atomic_write_text,
+    canonical_json,
+    dump_json_doc,
+    json_objects,
+    slugify,
+)
 
 SKILL_STATUSES = ("untested", "repaired", "verified", "review", "deprecated", "removed")
 
@@ -263,9 +272,12 @@ class Registry:
         next append. A corrupt line before the last newline raises
         ``CorruptRecordError``. Sets the committed length and line count
         that ``_append`` continues from.
+
+        Lines are decoded by ``util.json_objects``: each one on its own, to
+        what ``json.loads`` gives it, but a record line without the cost of
+        ``json.loads``' wrappers.
         """
         path = self.root / name
-        records: list[tuple[int, dict]] = []
         try:
             with open(path, "rb") as handle:
                 # The key of the bytes read, taken before the read: a write
@@ -283,23 +295,22 @@ class Registry:
             )
             data = data[:committed]
         self._committed[name] = committed
-        # Records end at "\n" alone: str.splitlines() would also split at
-        # U+0085 or U+2028, which canonical_json leaves unescaped in strings.
-        lines = data.decode("utf-8").split("\n")
-        self._lines[name] = len(lines) - 1  # the text after the last "\n" is empty
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptRecordError(name, line_no, str(exc)) from None
-            if not isinstance(record, dict):
-                raise CorruptRecordError(name, line_no, "record is not an object")
-            records.append((line_no, record))
-        return records
+        self._lines[name] = data.count(b"\n")
+
+        def corrupt(line_no: int, detail: str) -> CorruptRecordError:
+            return CorruptRecordError(name, line_no, detail)
+
+        return list(json_objects(data.decode("utf-8"), corrupt))
 
     def _reload(self) -> None:
+        """Rebuild the view from the three logs.
+
+        Every line is checked for its record's required fields, naming the
+        first line that lacks one. A skill's lines are kept, as read, as its
+        history, and only its last line is decoded into its ``SkillEntry``:
+        one entry per skill, not one per line. Resource and verification
+        lines are each decoded.
+        """
         for cache in self._rendered.values():
             cache.clear()
         self._skills.clear()
@@ -308,18 +319,18 @@ class Registry:
         self._locator_index.clear()
         self._verifications = []
         self._attempts = {}
-        logs = (
-            (SKILLS_FILE, SkillEntry, self._add_skill),
-            (RESOURCES_FILE, ResourceEntry, lambda entry, _: self._add_resource(entry)),
-            (VERIFICATIONS_FILE, VerificationRecord, lambda entry, _: self._add_verification(entry)),
-        )
-        for name, record_class, add in logs:
-            for line_no, record in self._read_records(name):
-                try:
-                    entry = record_class.from_record(record)
-                except KeyError as exc:
-                    raise CorruptRecordError(name, line_no, f"missing field {exc}") from None
-                add(entry, record)
+        history = self._skill_history
+        for line_no, record in self._read_records(SKILLS_FILE):
+            _decode(SkillEntry.require_fields, SKILLS_FILE, line_no, record)
+            history.setdefault(record["id"], []).append(record)
+        for skill_id, records in history.items():
+            self._skills[skill_id] = SkillEntry.from_record(records[-1])
+        for line_no, record in self._read_records(RESOURCES_FILE):
+            self._add_resource(_decode(ResourceEntry.from_record, RESOURCES_FILE, line_no, record))
+        for line_no, record in self._read_records(VERIFICATIONS_FILE):
+            self._add_verification(
+                _decode(VerificationRecord.from_record, VERIFICATIONS_FILE, line_no, record)
+            )
 
     def _add_skill(self, entry: SkillEntry, record: dict) -> None:
         """Make ``entry``, whose record is ``record``, the skill's current state."""
@@ -767,6 +778,14 @@ def _render_records(records: list[dict]) -> list[str]:
     """
     first, *rest = _PRETTY.encode(records)[2:-2].split(",\n  {")
     return [first] + ["  {" + fragment for fragment in rest]
+
+
+def _decode(decode, name: str, line_no: int, record: dict):
+    """``decode(record)``; a missing field is a ``CorruptRecordError`` at its line."""
+    try:
+        return decode(record)
+    except KeyError as exc:
+        raise CorruptRecordError(name, line_no, f"missing field {exc}") from None
 
 
 def _log_key(stat: os.stat_result) -> tuple[int, int, int]:

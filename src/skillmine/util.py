@@ -11,7 +11,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 _SLUG_STRIP = re.compile(r"[^a-z0-9]+")
 
@@ -71,15 +71,20 @@ class Record:
         return record
 
     @classmethod
-    def from_record(cls, record: dict):
+    def require_fields(cls, record: dict) -> None:
         """Raises ``KeyError`` naming the first required field, in field
-        order, that the record lacks. Keys that are not fields are
-        ignored. A field annotated ``int`` or ``tuple[...]`` goes through
-        ``int()`` or ``tuple()``."""
-        layout = _layout(cls)
-        for name in layout.required:
+        order, that the record lacks."""
+        for name in _layout(cls).required:
             if name not in record:
                 raise KeyError(name)
+
+    @classmethod
+    def from_record(cls, record: dict):
+        """Raises ``KeyError`` as ``require_fields`` does. Keys that are not
+        fields are ignored. A field annotated ``int`` or ``tuple[...]`` goes
+        through ``int()`` or ``tuple()``."""
+        cls.require_fields(record)
+        layout = _layout(cls)
         if not layout.names.issuperset(record):
             record = {key: value for key, value in record.items() if key in layout.names}
         instance = cls(**record)
@@ -102,6 +107,48 @@ def slugify(text: str) -> str:
 def canonical_json(obj: Any) -> str:
     """Compact, key-sorted JSON: the one-line record encoding."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# The scanner that ``json.loads`` runs once its wrappers are done.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def json_objects(
+    text: str, error: Callable[[int, str], Exception]
+) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each line of ``text`` that is not blank.
+
+    Lines end at "\\n" alone: ``str.splitlines()`` would also split at U+0085
+    or U+2028, which JSON allows unescaped inside a string. A line that is
+    not JSON raises ``error(line number, json.loads' message)``, and one that
+    is JSON but not an object ``error(line number, "record is not an
+    object")``.
+
+    Each line decodes to what ``json.loads(line)`` returns, or fails as it
+    fails. A line that starts with "{" and ends with "}" goes straight to
+    ``json.loads``' scanner, and its value is taken only when the scan ends
+    at the line's end: that is when ``json.loads``, which skips no
+    whitespace on such a line, returns the same value. Every other line,
+    and one the scan rejects, goes through ``json.loads`` itself.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line[:1] == "{" and line[-1:] == "}":
+            try:
+                record, end = _scan_json(line, 0)
+            except (json.JSONDecodeError, StopIteration):
+                end = -1
+            if end == len(line):
+                yield line_no, record
+                continue
+        elif not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(line_no, str(exc)) from None
+        if not isinstance(record, dict):
+            raise error(line_no, "record is not an object")
+        yield line_no, record
 
 
 def dump_json_doc(obj: Any) -> str:

@@ -165,6 +165,16 @@ def test_catalog_texts_with_unicode_line_separators_round_trip(tmp_path):
     assert [e.scope_summary for e in entries] == [text[::-1] for text in texts]
 
 
+@pytest.mark.parametrize("line", ["5", '"x"', "null", "[1]"])
+def test_a_catalog_line_that_is_not_an_object_is_a_read_error(tmp_path, line):
+    path = tmp_path / "hub.ndjson"
+    good = json.dumps({"entry_ref": "hub/1", "task_description": "align reads"})
+    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    with pytest.raises(CatalogReadError) as excinfo:
+        novelty.load_catalog_snapshot(path)
+    assert str(excinfo.value) == f"{path}:2: record is not an object"
+
+
 # -- indexed search against the full scan ----------------------------------------------
 
 
@@ -254,6 +264,25 @@ def test_indexed_search_equals_the_full_scan(
             given_catalogs, keywords, limit, task_text, scope_keywords, scope_text
         )
         assert matches == expected
+
+
+SCAN_TEXTS = st.lists(
+    st.sampled_from(WORDS + ["İx", "ALIGNreads", "x1y", "a-b", "\n", "\u2028", "é", "--"]),
+    max_size=6,
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(SCAN_TEXTS, max_size=10),
+    unigrams=st.sets(st.sampled_from(WORDS + ["align", "reads", "x", "a-b", "ix", "i"])),
+)
+@example(["the of", "", "--", "align", "align-reads"], {"align"})
+def test_the_scan_shares_the_entries_the_index_shares(texts, unigrams):
+    entries = [entry("hub", f"hub/{n}", text) for n, text in enumerate(texts)]
+    assert novelty.scan_sharing(entries, unigrams) == novelty.CatalogIndex(entries).sharing(
+        unigrams
+    )
 
 
 def test_indexed_search_classifies_only_entries_sharing_a_unigram(monkeypatch):

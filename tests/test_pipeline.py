@@ -722,6 +722,39 @@ def test_the_local_index_is_kept_unless_an_entry_goes_or_changes_task(engine):
         assert engine.adjudicate(skill_id) == fresh.adjudicate(skill_id)
 
 
+def test_a_pipeline_indexes_the_catalogs_at_its_second_review(
+    tmp_path, campaign_script, monkeypatch
+):
+    engine = make_engine(
+        tmp_path / "library", campaign_script, catalogs=(FIXTURES / "catalog_hub.ndjson",)
+    )
+    add_skill(engine, "library-plot", PLOT, ("draw the grid",))
+    add_skill(engine, "period-copy", PERIODS, (PERIODS_SCOPE,))
+    reviews = ("period-copy", "library-plot")
+    indexed = Pipeline(engine.config)
+    indexed.adjudicate("library-plot")  # from here on it searches its external index
+    expected = [indexed.adjudicate(skill_id) for skill_id in reviews]
+    assert indexed._external_index is not None
+    assert [verdict.decision for verdict in expected] == ["redundant", "novel"]
+
+    built = []
+
+    class CountingIndex(noveltymod.CatalogIndex):
+        def __init__(self, entries):
+            built.append(entries)
+            super().__init__(entries)
+
+    monkeypatch.setattr(noveltymod, "CatalogIndex", CountingIndex)
+    fresh = Pipeline(engine.config)
+    hub = fresh.external_catalogs()["catalog_hub"]
+    first = fresh.adjudicate(reviews[0])
+    assert built == []  # neither the external catalogs nor the local library
+    second = fresh.adjudicate(reviews[1])
+    assert len(built) == 2
+    assert sum(entries is hub for entries in built) == 1
+    assert [first, second] == expected
+
+
 PLOT = "Plot cell clusters on a grid"
 ALIGN = "Align short reads to genomes"
 PERIODS = "Estimate rotation periods from stellar brightness lightcurves"

@@ -127,6 +127,30 @@ def test_record_missing_a_field_is_named_by_its_line_not_its_position(tmp_path, 
     assert excinfo.value.line == 3
 
 
+def test_open_builds_one_skill_entry_per_skill(tmp_path, monkeypatch):
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    for i in range(3):
+        registry.upsert_skill(entry(skill_id=f"ok-{i}"))
+        registry.transition_skill(f"ok-{i}", "verified", cycle=2)
+    registry.set_novelty_decision("ok-1", "novel", cycle=3)
+    registry.relocate_skill("ok-2", "science/genomics/alignment/long-read-alignment", cycle=3)
+
+    built = []
+    decode = SkillEntry.from_record.__func__
+
+    def counting(cls, record):
+        built.append(record["id"])
+        return decode(cls, record)
+
+    monkeypatch.setattr(SkillEntry, "from_record", classmethod(counting))
+    reopened = open_registry(root)
+    assert sorted(built) == ["ok-0", "ok-1", "ok-2"]  # of 8 log lines
+    assert reopened.skills() == registry.skills()
+    for i in range(3):
+        assert reopened.skill_history(f"ok-{i}") == registry.skill_history(f"ok-{i}")
+
+
 # The on-disk layout of each registry record, byte for byte.
 @pytest.mark.parametrize(
     "record, expected",
