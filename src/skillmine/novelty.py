@@ -255,8 +255,7 @@ class CatalogIndex:
 
 
 _TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
-# A token too long to be a stop word; failing one, a token that is not a stop word.
-_LONG_TOKEN = re.compile("[a-z0-9]{%d}" % (max(map(len, STOP_WORDS)) + 1))
+# A token that is not a stop word.
 _CONTENT_TOKEN = re.compile(
     "(?<![a-z0-9])(?!(?:%s)(?![a-z0-9]))[a-z0-9]+" % "|".join(sorted(STOP_WORDS))
 )
@@ -272,13 +271,13 @@ def scan_sharing(entries: Sequence[CatalogEntry], unigrams: set[str]) -> list[Ca
     [a-z0-9] on either side. Only the unigrams an index can hold are looked
     for: a stop word, or a term with any other character, is in no posting.
     An entry has no unigram when no token of its task text is outside the
-    stop words; a token too long to be a stop word is looked for first.
+    stop words.
     """
     texts = [entry.task_description.lower() for entry in entries]
     found = {
         position
-        for position, long_token in enumerate(map(_LONG_TOKEN.search, texts))
-        if long_token is None and _CONTENT_TOKEN.search(texts[position]) is None
+        for position, content in enumerate(map(_CONTENT_TOKEN.search, texts))
+        if content is None
     }
     joined = "\n".join(texts)
     # starts[p] is where text p begins in ``joined``.

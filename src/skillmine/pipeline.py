@@ -185,8 +185,7 @@ class Pipeline:
         self._scratch = _CycleScratch()
         self._external_catalogs: dict[str, list[noveltymod.CatalogEntry]] | None = None
         # Novelty inputs kept for the life of the pipeline: whether it has
-        # reviewed (its first review scans the catalogs, later ones search
-        # indexes), the external catalogs' index, the local skills' texts
+        # reviewed, the external catalogs' index, the local skills' texts
         # keyed on their skill.json files, and the local index.
         self._reviewed = False
         self._external_index: dict[str, noveltymod.CatalogIndex] | None = None
@@ -631,18 +630,15 @@ class Pipeline:
             elif status in ("untested", "repaired"):
                 self.registry.transition_skill(skill_id, "removed", cycle)
 
-    def _local_entries(self) -> list[noveltymod.CatalogEntry]:
-        return noveltymod.local_catalog_entries(
-            self.registry, self.root, self._local_texts, self.harness.sandbox_root
-        )
-
     def _local_index(self) -> noveltymod.CatalogIndex:
         """The index over the local library, brought up to date once per commit.
 
         It is kept across commits: a commit that changed only scopes or
         added skills updates it in place, and any other change rebuilds it.
         """
-        entries = self._local_entries()
+        entries = noveltymod.local_catalog_entries(
+            self.registry, self.root, self._local_texts, self.harness.sandbox_root
+        )
         if self._local is None or not self._local.update(entries):
             self._local = noveltymod.CatalogIndex(entries)
         return self._local
@@ -652,8 +648,12 @@ class Pipeline:
     ) -> noveltymod.NoveltyVerdict:
         """Review one candidate against ``local``, else against a fresh read.
 
-        ``local`` may predate verdicts of the same commit, so the search skips
-        the candidate itself and every skill that a verdict has since removed.
+        A commit (refresh, a design) passes ``local``, its index of the local
+        library; it may predate verdicts of the same commit, so the search
+        skips the candidate itself and every skill that a verdict has since
+        removed. A review without it stands alone, as a CLI ``novelty`` read
+        does: when it is the pipeline's first, it scans the external catalogs
+        instead of indexing them, which costs less for one search.
         """
         entry = self.registry.skill(skill_id)
         package = contractsmod.load_package(self.root / entry.package_path)
@@ -665,20 +665,19 @@ class Pipeline:
         except noveltymod.EmptyKeywordsError:
             scope_keywords = None
 
-        # A pipeline's first review scans the catalogs, which costs less than
-        # indexing them; from its second review on it searches indexes.
-        first = not self._reviewed
-        self._reviewed = True
+        # A commit's review and any later review search the external index,
+        # built once.
         external = self._external_index
         if external is None:
             external = self.external_catalogs()
-            if not first:
+            if self._reviewed or local is not None:
                 external = self._external_index = {
                     catalog_id: noveltymod.CatalogIndex(entries)
                     for catalog_id, entries in external.items()
                 }
+        self._reviewed = True
         if local is None:
-            local = self._local_entries() if first else self._local_index()
+            local = self._local_index()
 
         def skip(e: noveltymod.CatalogEntry) -> bool:
             return e.catalog_id == "local" and (
@@ -845,7 +844,7 @@ class Pipeline:
         else:
             steps.append("skill_test pass")
             with self.registry.lock:
-                verdict = self.adjudicate(skill_id)
+                verdict = self.adjudicate(skill_id, self._local_index())
                 tree = noveltymod.apply_verdict(self.tree, self.registry, verdict, cycle)
                 self._commit_tree(tree, "design")
             steps.append(f"novelty_check verdict={verdict.decision}")

@@ -305,11 +305,12 @@ class Registry:
     def _reload(self) -> None:
         """Rebuild the view from the three logs.
 
-        Every line is checked for its record's required fields, naming the
-        first line that lacks one. A skill's lines are kept, as read, as its
-        history, and only its last line is decoded into its ``SkillEntry``:
-        one entry per skill, not one per line. Resource and verification
-        lines are each decoded.
+        Every skill line is checked as decoding it would check it
+        (``Record.check_record``): a missing field is named by its line, and
+        a field that does not convert raises. A skill's lines are kept, as
+        read, as its history, and only its last line is decoded into its
+        ``SkillEntry``: one entry per skill, not one per line. Resource and
+        verification lines are each decoded.
         """
         for cache in self._rendered.values():
             cache.clear()
@@ -321,7 +322,7 @@ class Registry:
         self._attempts = {}
         history = self._skill_history
         for line_no, record in self._read_records(SKILLS_FILE):
-            _decode(SkillEntry.require_fields, SKILLS_FILE, line_no, record)
+            _decode(SkillEntry.check_record, SKILLS_FILE, line_no, record)
             history.setdefault(record["id"], []).append(record)
         for skill_id, records in history.items():
             self._skills[skill_id] = SkillEntry.from_record(records[-1])

@@ -71,19 +71,26 @@ class Record:
         return record
 
     @classmethod
-    def require_fields(cls, record: dict) -> None:
-        """Raises ``KeyError`` naming the first required field, in field
-        order, that the record lacks."""
-        for name in _layout(cls).required:
+    def check_record(cls, record: dict) -> None:
+        """Raises what ``from_record`` raises for the record's own fields,
+        without building the instance: ``KeyError`` naming the first
+        required field, in field order, that the record lacks, then the
+        error of an ``int`` or ``tuple[...]`` field whose value ``int()`` or
+        ``tuple()`` refuses."""
+        layout = _layout(cls)
+        for name in layout.required:
             if name not in record:
                 raise KeyError(name)
+        for name, convert in layout.converters:
+            if name in record and type(record[name]) is not convert:
+                convert(record[name])
 
     @classmethod
     def from_record(cls, record: dict):
-        """Raises ``KeyError`` as ``require_fields`` does. Keys that are not
-        fields are ignored. A field annotated ``int`` or ``tuple[...]`` goes
-        through ``int()`` or ``tuple()``."""
-        cls.require_fields(record)
+        """Raises what ``check_record`` raises. Keys that are not fields are
+        ignored. A field annotated ``int`` or ``tuple[...]`` goes through
+        ``int()`` or ``tuple()``."""
+        cls.check_record(record)
         layout = _layout(cls)
         if not layout.names.issuperset(record):
             record = {key: value for key, value in record.items() if key in layout.names}

@@ -451,35 +451,21 @@ def run_campaign(
 def resume_campaign(
     pipeline: Pipeline, campaign_id: str, stop_after_phases: int | None = None
 ) -> CampaignReport:
-    """Resume from the checkpoint; refuses when on-disk state has drifted.
-
-    A checkpoint with no phase left to run is reported as it stands, without
-    digesting the library: nothing would be run on it, and later commits to
-    the library are no drift of that campaign's. Nothing is written.
-    """
+    """Resume from the checkpoint; refuses when on-disk state has drifted."""
     checkpoint = load_checkpoint(pipeline, campaign_id)
-    stored = checkpoint.config
-    # Older checkpoints name their mining mode; campaigns mine by cycles only.
-    mode = stored.get("mining_mode", "cycle")
-    config = None
-    if mode == "cycle":
-        config = CampaignConfig.from_record({**stored, "campaign_id": campaign_id})
-        if checkpoint.cursor == len(config.phase_plan()):
-            return CampaignReport(
-                campaign_id=campaign_id,
-                status="completed",
-                phases=list(checkpoint.phases),
-                completed_cycles=list(checkpoint.completed_cycles),
-            )
-
     current_digest = state_digest(pipeline.root)
     if checkpoint.registry_digest != current_digest:
         raise DigestMismatchError(
             f"campaign {campaign_id}: registry digest mismatch "
             f"(checkpoint {checkpoint.registry_digest[:12]}, disk {current_digest[:12]})"
         )
-    if config is None:
+
+    stored = checkpoint.config
+    # Older checkpoints name their mining mode; campaigns mine by cycles only.
+    mode = stored.get("mining_mode", "cycle")
+    if mode != "cycle":
         raise WorkerError(f"campaign {campaign_id}: unsupported mining mode {mode!r}")
+    config = CampaignConfig.from_record({**stored, "campaign_id": campaign_id})
     pipeline.state.cycle_index = checkpoint.cycle_index
     pipeline.state.pending_skills = tuple(checkpoint.pending_skills)
     pipeline.gateway.import_counters(checkpoint.provider_counters)

@@ -722,7 +722,7 @@ def test_the_local_index_is_kept_unless_an_entry_goes_or_changes_task(engine):
         assert engine.adjudicate(skill_id) == fresh.adjudicate(skill_id)
 
 
-def test_a_pipeline_indexes_the_catalogs_at_its_second_review(
+def test_only_a_stand_alone_first_review_scans_the_catalogs(
     tmp_path, campaign_script, monkeypatch
 ):
     engine = make_engine(
@@ -748,11 +748,17 @@ def test_a_pipeline_indexes_the_catalogs_at_its_second_review(
     fresh = Pipeline(engine.config)
     hub = fresh.external_catalogs()["catalog_hub"]
     first = fresh.adjudicate(reviews[0])
-    assert built == []  # neither the external catalogs nor the local library
+    assert len(built) == 1 and built[0] is not hub  # the local index only
     second = fresh.adjudicate(reviews[1])
-    assert len(built) == 2
-    assert sum(entries is hub for entries in built) == 1
+    assert len(built) == 2 and built[1] is hub  # the local index is kept
     assert [first, second] == expected
+
+    # A commit's review, given the commit's local index, indexes at once.
+    committing = Pipeline(engine.config)
+    local = committing._local_index()
+    built.clear()
+    assert committing.adjudicate(reviews[0], local) == expected[0]
+    assert len(built) == 1 and built[0] is committing.external_catalogs()["catalog_hub"]
 
 
 PLOT = "Plot cell clusters on a grid"

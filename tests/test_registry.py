@@ -151,6 +151,21 @@ def test_open_builds_one_skill_entry_per_skill(tmp_path, monkeypatch):
         assert reopened.skill_history(f"ok-{i}") == registry.skill_history(f"ok-{i}")
 
 
+def test_an_earlier_skill_line_whose_cycle_is_not_an_integer_refuses_the_open(tmp_path):
+    root = tmp_path / "library"
+    registry = open_registry(root)
+    registry.upsert_skill(entry(skill_id="ok-0"))
+    registry.transition_skill("ok-0", "verified", cycle=2)
+    skills_file = root / "skills.ndjson"
+    first, last = skills_file.read_text("utf-8").splitlines()
+    record = json.loads(first)
+    record["updated_cycle"] = "one"
+    skills_file.write_text(f"{canonical_json(record)}\n{last}\n", encoding="utf-8")
+    # Only the last line becomes the skill's entry, but every line is checked.
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        open_registry(root)
+
+
 # The on-disk layout of each registry record, byte for byte.
 @pytest.mark.parametrize(
     "record, expected",

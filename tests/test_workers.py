@@ -11,7 +11,6 @@ import pytest
 
 from skillmine import harness as harnessmod
 from skillmine import tree as treemod
-from skillmine import workers as workersmod
 from skillmine.errors import (
     DigestMismatchError,
     DuplicateWorkspaceError,
@@ -568,28 +567,6 @@ def test_resume_refuses_on_drifted_state(tmp_path, campaign_script):
     fresh = Pipeline(engine.config)
     with pytest.raises(DigestMismatchError):
         resume_campaign(fresh, "camp")
-
-
-def test_resume_of_a_completed_campaign_reports_it_without_digesting(
-    tmp_path, campaign_script, monkeypatch
-):
-    engine = make_engine(tmp_path / "library", campaign_script)
-    straight = run_campaign(engine, campaign_config(cycles=1))
-    assert straight.status == "completed"
-    # A later commit, or any edit, is no drift of a campaign with nothing left to run.
-    (engine.root / "stray-edit.txt").write_text("edited after the campaign completed\n")
-    before = state_digest(engine.root)
-    checkpoint = (engine.root / "campaigns" / "camp" / "checkpoint.json").read_bytes()
-
-    digests = []
-    monkeypatch.setattr(workersmod, "state_digest", lambda root: digests.append(root))
-    resumed = resume_campaign(Pipeline(engine.config), "camp")
-    monkeypatch.undo()
-
-    assert resumed == straight
-    assert digests == []
-    assert state_digest(engine.root) == before
-    assert (engine.root / "campaigns" / "camp" / "checkpoint.json").read_bytes() == checkpoint
 
 
 def test_interrupt_and_resume_matches_uninterrupted_run(tmp_path, campaign_script):
