@@ -112,8 +112,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "campaign":
-        pipeline = _pipeline(args)
         if args.action == "run":
+            pipeline = _pipeline(args)
             if not args.branches:
                 raise SkillmineError("campaign run requires --branches")
             campaign = workersmod.CampaignConfig(
@@ -123,7 +123,15 @@ def _dispatch(args) -> int:
             )
             report = workersmod.run_campaign(pipeline, campaign)
         else:
-            report = workersmod.resume_campaign(pipeline, args.campaign_id)
+            # The library is opened only when the verified checkpoint has
+            # phases left to run.
+            config = _engine_config(args).validate()
+            checkpoint, campaign = workersmod.verify_checkpoint(
+                config.registry_root, args.campaign_id
+            )
+            report = workersmod.finished_report(checkpoint, campaign) or (
+                workersmod.continue_campaign(Pipeline(config), checkpoint, campaign)
+            )
         print(f"campaign {report.campaign_id}: {report.status}; phases={len(report.phases)}")
         return 0 if report.status == "completed" else 1
 

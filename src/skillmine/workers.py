@@ -30,11 +30,13 @@ from .pipeline import Pipeline, leaf_key, leaf_slug_path
 from .util import (
     NOT_WRITTEN,
     Record,
+    StatKey,
     atomic_write_bytes,
     atomic_write_text,
     dump_json_doc,
     digest_dir,
     file_manifest,
+    filesystem_time,
     is_escaping_relpath,
     sha256_hex,
     walk_files,
@@ -44,11 +46,12 @@ WORKSPACES_DIR = "workspaces"
 CAMPAIGNS_DIR = "campaigns"
 MARKER_FILE = ".workspace.json"
 WORKER_SCRATCH = ".worker"
+SANDBOX_DIR = "sandbox"  # the harness's scratch area, and the digest's clock
 
 # Volatile by design: excluded from state digests. "LOCK" is the lock file an
 # older registry left at the root; "site" holds an exported bundle and its
 # stale marker, output derived from the engine state.
-STATE_DIGEST_EXCLUDE = ("LOCK", WORKSPACES_DIR, CAMPAIGNS_DIR, "sandbox", "site")
+STATE_DIGEST_EXCLUDE = ("LOCK", WORKSPACES_DIR, CAMPAIGNS_DIR, SANDBOX_DIR, "site")
 
 
 def leaf_owned_prefixes(leaf_path: treemod.NodePath) -> tuple[str, str]:
@@ -66,9 +69,21 @@ def is_leaf_owned(rel_path: str, leaf_path: treemod.NodePath) -> bool:
     )
 
 
-def state_digest(root: str | Path) -> str:
-    """Digest of the durable library state, minus volatile scratch areas."""
-    return digest_dir(Path(root), exclude=STATE_DIGEST_EXCLUDE)
+def state_digest(root: str | Path, known: dict[str, tuple[StatKey, str]] | None = None) -> str:
+    """Digest of the durable library state, minus volatile scratch areas.
+
+    ``known`` is a cache of file hashes that a caller keeps across digests
+    (see ``util.digest_dir``); its keys are trusted against a probe of the
+    filesystem clock made in ``sandbox/``, which is created when missing.
+    Without it every file is read.
+    """
+    root = Path(root)
+    fence = None
+    if known is not None:
+        sandbox = root / SANDBOX_DIR
+        sandbox.mkdir(exist_ok=True)
+        fence = filesystem_time(os.fspath(sandbox))
+    return digest_dir(root, STATE_DIGEST_EXCLUDE, known, fence)
 
 
 @dataclass
@@ -325,23 +340,72 @@ def checkpoint_campaign(
         completed_cycles=list(completed_cycles),
         pending_skills=sorted(pipeline.state.pending_skills),
         cursor=cursor,
-        registry_digest=state_digest(pipeline.root),
+        registry_digest=state_digest(pipeline.root, pipeline.file_hashes),
         cycle_index=pipeline.state.cycle_index,
         provider_counters=pipeline.gateway.export_counters(),
         phases=list(phases),
         failures_in_row=failures_in_row,
         config=config.to_record(),
     )
-    path = pipeline.root / CAMPAIGNS_DIR / config.campaign_id / "checkpoint.json"
+    path = _checkpoint_path(pipeline.root, config.campaign_id)
     atomic_write_text(path, dump_json_doc(checkpoint.to_record()))
     return checkpoint
 
 
-def load_checkpoint(pipeline: Pipeline, campaign_id: str) -> CampaignCheckpoint:
-    path = pipeline.root / CAMPAIGNS_DIR / campaign_id / "checkpoint.json"
+def load_checkpoint(root: str | Path, campaign_id: str) -> CampaignCheckpoint:
+    """The campaign's checkpoint; a ``WorkerError`` when it is missing or unreadable."""
+    path = _checkpoint_path(root, campaign_id)
     if not path.exists():
         raise WorkerError(f"no checkpoint for campaign {campaign_id}")
-    return CampaignCheckpoint.from_record(json.loads(path.read_text("utf-8")))
+    try:
+        record = json.loads(path.read_bytes())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise _unreadable(path, str(exc)) from None
+    if not isinstance(record, dict):
+        raise _unreadable(path, "not a JSON object")
+    try:
+        return CampaignCheckpoint.from_record(record)
+    except KeyError as exc:
+        raise _unreadable(path, f"missing field {exc}") from None
+    except (TypeError, ValueError) as exc:  # a field of the wrong type
+        raise _unreadable(path, str(exc)) from None
+
+
+def _checkpoint_path(root: str | Path, campaign_id: str) -> Path:
+    return Path(root) / CAMPAIGNS_DIR / campaign_id / "checkpoint.json"
+
+
+def _unreadable(path: Path, detail: str) -> WorkerError:
+    return WorkerError(f"{path}: unreadable checkpoint: {detail}")
+
+
+def verify_checkpoint(
+    root: str | Path, campaign_id: str, known: dict[str, tuple[StatKey, str]] | None = None
+) -> tuple[CampaignCheckpoint, CampaignConfig]:
+    """The campaign's checkpoint and config, once the library is shown to be
+    in the state the checkpoint recorded; ``known`` goes to ``state_digest``.
+
+    Refuses drifted state with ``DigestMismatchError`` before it looks at
+    the stored config, and opens nothing but the checkpoint.
+    """
+    checkpoint = load_checkpoint(root, campaign_id)
+    current_digest = state_digest(root, known)
+    if checkpoint.registry_digest != current_digest:
+        raise DigestMismatchError(
+            f"campaign {campaign_id}: registry digest mismatch "
+            f"(checkpoint {checkpoint.registry_digest[:12]}, disk {current_digest[:12]})"
+        )
+
+    stored = checkpoint.config
+    # Older checkpoints name their mining mode; campaigns mine by cycles only.
+    mode = stored.get("mining_mode", "cycle")
+    if mode != "cycle":
+        raise WorkerError(f"campaign {campaign_id}: unsupported mining mode {mode!r}")
+    try:
+        config = CampaignConfig.from_record({**stored, "campaign_id": campaign_id})
+    except KeyError as exc:
+        raise _unreadable(_checkpoint_path(root, campaign_id), f"missing config field {exc}") from None
+    return checkpoint, config
 
 
 def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
@@ -452,20 +516,29 @@ def resume_campaign(
     pipeline: Pipeline, campaign_id: str, stop_after_phases: int | None = None
 ) -> CampaignReport:
     """Resume from the checkpoint; refuses when on-disk state has drifted."""
-    checkpoint = load_checkpoint(pipeline, campaign_id)
-    current_digest = state_digest(pipeline.root)
-    if checkpoint.registry_digest != current_digest:
-        raise DigestMismatchError(
-            f"campaign {campaign_id}: registry digest mismatch "
-            f"(checkpoint {checkpoint.registry_digest[:12]}, disk {current_digest[:12]})"
-        )
+    checkpoint, config = verify_checkpoint(pipeline.root, campaign_id, pipeline.file_hashes)
+    return continue_campaign(pipeline, checkpoint, config, stop_after_phases)
 
-    stored = checkpoint.config
-    # Older checkpoints name their mining mode; campaigns mine by cycles only.
-    mode = stored.get("mining_mode", "cycle")
-    if mode != "cycle":
-        raise WorkerError(f"campaign {campaign_id}: unsupported mining mode {mode!r}")
-    config = CampaignConfig.from_record({**stored, "campaign_id": campaign_id})
+
+def finished_report(checkpoint: CampaignCheckpoint, config: CampaignConfig) -> CampaignReport | None:
+    """What resuming a checkpoint with no phase left reports; None while phases are left."""
+    if checkpoint.cursor < len(config.phase_plan()):
+        return None
+    return CampaignReport(
+        campaign_id=config.campaign_id,
+        status="completed",
+        phases=list(checkpoint.phases),
+        completed_cycles=list(checkpoint.completed_cycles),
+    )
+
+
+def continue_campaign(
+    pipeline: Pipeline,
+    checkpoint: CampaignCheckpoint,
+    config: CampaignConfig,
+    stop_after_phases: int | None = None,
+) -> CampaignReport:
+    """Run the phases left after a checkpoint that ``verify_checkpoint`` returned."""
     pipeline.state.cycle_index = checkpoint.cycle_index
     pipeline.state.pending_skills = tuple(checkpoint.pending_skills)
     pipeline.gateway.import_counters(checkpoint.provider_counters)

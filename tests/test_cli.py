@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from skillmine import cli as climod
+from skillmine import pipeline as pipelinemod
+from skillmine import workers
 from skillmine.cli import main
-from skillmine.workers import state_digest
+from skillmine.workers import CampaignConfig, run_campaign, state_digest
 
-from conftest import FAILING_SMOKE, FIXTURES, write_mock
+from conftest import FAILING_SMOKE, FIXTURES, make_engine, write_mock
 
 
 @pytest.fixture
@@ -81,7 +84,17 @@ def test_cycle_and_status_and_export(tmp_path, taxonomy_file, campaign_script, c
     assert (tmp_path / "timing" / "timing.json").is_file()
 
 
-def test_campaign_run_cli(tmp_path, taxonomy_file, campaign_script, capsys):
+def count_calls(monkeypatch, module, name: str, calls: list) -> None:
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_campaign_run_cli(tmp_path, taxonomy_file, campaign_script, capsys, monkeypatch):
     root = tmp_path / "library"
     args = base_args(root, campaign_script)
     run_cli(args + ["init", str(taxonomy_file)], capsys)
@@ -102,10 +115,78 @@ def test_campaign_run_cli(tmp_path, taxonomy_file, campaign_script, capsys):
     assert "completed" in out
     assert (root / "campaigns" / "mini" / "checkpoint.json").is_file()
 
-    # resuming a finished campaign is a clean no-op replay of its report
-    code, out, _ = run_cli(args + ["campaign", "resume", "mini"], capsys)
-    assert code == 0
-    assert "completed" in out
+    # Resuming a finished campaign replays its report from the checkpoint,
+    # once the digest has shown the library unchanged: no registry is opened.
+    phases = json.loads((root / "campaigns" / "mini" / "checkpoint.json").read_text())["phases"]
+    digest = state_digest(root)
+    opens: list = []
+    for module in (climod, pipelinemod):
+        count_calls(monkeypatch, module, "open_registry", opens)
+    code, out, err = run_cli(args + ["campaign", "resume", "mini"], capsys)
+    assert (code, out, err) == (0, f"campaign mini: completed; phases={len(phases)}\n", "")
+    assert opens == []
+    assert state_digest(root) == digest
+
+    # A drifted library is refused by the digest, before any log is decoded.
+    (root / "stray-edit.txt").write_text("edited behind the campaign's back\n")
+    with open(root / "skills.ndjson", "a", encoding="utf-8") as log:
+        log.write("not json\n")
+    code, out, err = run_cli(args + ["campaign", "resume", "mini"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("campaign: DigestMismatchError: campaign mini: registry digest mismatch")
+    assert opens == []
+
+
+def test_an_interrupted_campaign_resumed_by_the_cli_equals_the_uninterrupted_run(
+    tmp_path, campaign_script, capsys, monkeypatch
+):
+    config = CampaignConfig(
+        campaign_id="camp", branch_schedule=("science/genomics", "science/imaging")
+    )
+    baseline = make_engine(tmp_path / "straight" / "library", campaign_script)
+    straight = run_campaign(baseline, config)
+    engine = make_engine(tmp_path / "library", campaign_script)
+    assert run_campaign(engine, config, stop_after_phases=1).status == "interrupted"
+
+    digests: list = []
+    count_calls(monkeypatch, workers, "state_digest", digests)
+    code, out, _ = run_cli(base_args(engine.root, campaign_script) + ["campaign", "resume", "camp"],
+                           capsys)
+    assert (code, out) == (0, f"campaign camp: completed; phases={len(straight.phases)}\n")
+    # One digest verifies the checkpoint; each phase run after it checkpoints
+    # through the pipeline's cache.
+    cached = [isinstance(call[-1], dict) for call in digests]
+    assert cached == [False] + [True] * (len(straight.phases) - 1)
+    monkeypatch.undo()
+    assert state_digest(engine.root) == state_digest(baseline.root)
+
+
+def test_an_unreadable_checkpoint_fails_the_resume_in_one_line(
+    tmp_path, taxonomy_file, campaign_script, capsys
+):
+    root = tmp_path / "library"
+    args = base_args(root, campaign_script)
+    run_cli(args + ["init", str(taxonomy_file)], capsys)
+    run_cli(args + ["campaign", "run", "mini", "--branches", "science/genomics"], capsys)
+    path = root / "campaigns" / "mini" / "checkpoint.json"
+    text = path.read_text("utf-8")
+    record = json.loads(text)
+    no_cursor = {key: value for key, value in record.items() if key != "cursor"}
+    no_branches = {**record, "config": {**record["config"]}}
+    del no_branches["config"]["branch_schedule"]
+
+    for damaged, detail in [
+        (text[: len(text) // 2], "Expecting"),
+        ("[1, 2]\n", "not a JSON object"),
+        (json.dumps(no_cursor), "missing field 'cursor'"),
+        (json.dumps({**record, "cursor": "one"}), "invalid literal for int()"),
+        (json.dumps(no_branches), "missing config field 'branch_schedule'"),
+    ]:
+        path.write_text(damaged, encoding="utf-8")
+        code, out, err = run_cli(args + ["campaign", "resume", "mini"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"campaign: WorkerError: {path}: unreadable checkpoint: {detail}")
+        assert err.count("\n") == 1
 
 
 def test_test_and_novelty_commands(tmp_path, taxonomy_file, campaign_script, capsys):

@@ -6,6 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -137,13 +138,13 @@ def test_a_skill_log_decodes_as_json_loads_decodes_each_line(lines):
 @given(lines=CATALOG_LINES)
 @example(lines=SPLIT_AND_MERGED)
 @example(lines=['{"entry_ref":"hub/1","task_description":"a\u2028b\u0085c"}', "null"])
+@example(lines=['\r{"entry_ref": "a", "task_description": "t"}', "null"])
 def test_a_catalog_decodes_as_json_loads_decodes_each_line(lines):
     text = "".join(line + "\n" for line in lines)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hub.ndjson"
-        path.write_text(text, encoding="utf-8")
-        # A catalog is read as text, so "\r" and "\r\n" end lines too.
-        records, error = loads_each(path.read_text("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
+        records, error = loads_each(text)
         expected = []
         for line_no, record in records:
             if "entry_ref" not in record or "task_description" not in record:
@@ -168,3 +169,22 @@ def test_a_catalog_decodes_as_json_loads_decodes_each_line(lines):
                 raise AssertionError(f"line {error[0]} was accepted: {error[1]}")
             return
         assert novelty.load_catalog_snapshot(path) == expected
+
+
+def test_a_catalog_line_ends_at_a_newline_only(tmp_path):
+    path = tmp_path / "hub.ndjson"
+    entry = novelty.CatalogEntry("hub", "a", "t", "", "", ())
+
+    # A "\r" between JSON tokens is whitespace, not the end of a line.
+    path.write_bytes(b'{"entry_ref": "a",\r "task_description": "t"}\n')
+    assert novelty.load_catalog_snapshot(path) == [entry]
+    path.write_bytes(b'\r{"entry_ref": "a", "task_description": "t"}\nnull\n')
+    with pytest.raises(CatalogReadError, match=r":2: record is not an object$"):
+        novelty.load_catalog_snapshot(path)
+
+    # A CRLF file still loads, its lines numbered as they are.
+    path.write_bytes(b'{"entry_ref": "a", "task_description": "t"}\r\n\r\n' * 2 + b"5\r\n")
+    with pytest.raises(CatalogReadError, match=r":5: record is not an object$"):
+        novelty.load_catalog_snapshot(path)
+    path.write_bytes(b'{"entry_ref": "a", "task_description": "t"}\r\n' * 2)
+    assert novelty.load_catalog_snapshot(path) == [entry, entry]

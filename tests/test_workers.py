@@ -525,7 +525,7 @@ def test_a_failed_phase_still_stops_at_stop_after_phases(tmp_path, campaign_scri
     report = run_campaign(engine, config, stop_after_phases=1)
     assert report.status == "interrupted"
     assert [phase["kind"] for phase in report.phases] == ["mining-failed"]
-    assert load_checkpoint(engine, "doomed").cursor == 1
+    assert load_checkpoint(engine.root, "doomed").cursor == 1
 
 
 # -- checkpoints ---------------------------------------------------------------------
@@ -555,7 +555,7 @@ def test_checkpoint_layout_is_pinned_and_loads_back():
 
 def test_checkpoint_of_idle_state_round_trips(engine):
     report = run_campaign(engine, campaign_config(cycles=1))
-    checkpoint = load_checkpoint(engine, "camp")
+    checkpoint = load_checkpoint(engine.root, "camp")
     assert checkpoint.cursor == len(report.phases)
     assert checkpoint.registry_digest == state_digest(engine.root)
 
