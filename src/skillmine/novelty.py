@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import re
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -22,7 +23,7 @@ from . import tree as treemod
 from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
 from .registry import Registry, SkillEntry
-from .util import StatKey, filesystem_time, is_trusted, json_objects, path_stat_key, stat_key
+from .util import json_objects
 
 SAME_TASK_JACCARD = 0.6
 SAME_SCOPE_JACCARD = 0.6
@@ -552,12 +553,26 @@ class LocalText(NamedTuple):
 
     package_path: str
     path: str
-    key: StatKey
+    key: tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
     trusted: bool  # the key may stand for the bytes without a read
     digest: bytes
     texts: tuple[str, str] | None
     skill: SkillEntry | None = None
     entry: CatalogEntry | None = None
+
+
+def filesystem_time(directory: str) -> int | None:
+    """The ctime of a probe file made and removed in ``directory``: a
+    timestamp of that filesystem's clock, or None when no probe can be made."""
+    try:
+        fd, name = tempfile.mkstemp(dir=directory, prefix=".probe-")
+    except OSError:
+        return None
+    try:
+        return os.fstat(fd).st_ctime_ns
+    finally:
+        os.close(fd)
+        os.unlink(name)
 
 
 def local_catalog_entries(
@@ -578,9 +593,13 @@ def local_catalog_entries(
     every registry mutation replaces the object. Entries of skills no longer
     in the catalog are dropped.
 
-    A key is trusted by git's racy-git rule (``util.is_trusted``) against a
-    filesystem timestamp taken before the ``fstat`` that recorded it: the
-    ctime of a probe file made in ``probe_dir``, a directory on the
+    A key is trusted only when its mtime and ctime are strictly older than
+    a filesystem timestamp taken before the ``fstat`` that recorded it (git's
+    racy-git rule). ctime moves on every write and every ``utime``, and a
+    replaced file has a new inode, so a trusted key that still matches means
+    the bytes are the ones read; an edit in the same clock tick as the read
+    would keep the key, which is why such keys are not trusted. The timestamp
+    is the ctime of a probe file made in ``probe_dir``, a directory on the
     library's filesystem that the state digest skips (a pipeline passes its
     harness sandbox); without one nothing is trusted and every file is read.
 
@@ -606,7 +625,7 @@ def local_catalog_entries(
             cached is None
             or not cached.trusted
             or cached.package_path != skill.package_path
-            or path_stat_key(cached.path) != cached.key
+            or _stat_key(cached.path) != cached.key
         ):
             cached = _read_local_text(top, skill.package_path, cached, fence)
         elif cached.skill is skill:
@@ -632,6 +651,17 @@ def local_catalog_entries(
     return entries
 
 
+def _key(stat: os.stat_result) -> tuple[int, int, int, int]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
+
+
+def _stat_key(path: str) -> tuple[int, int, int, int] | None:
+    try:
+        return _key(os.stat(path))
+    except OSError:
+        return None
+
+
 def _read_local_text(
     top: str, package_path: str, cached: LocalText | None, fence: int | None
 ) -> LocalText | None:
@@ -643,7 +673,7 @@ def _read_local_text(
     path = os.path.join(top, package_path, "skill.json")
     try:
         with open(path, "rb") as handle:
-            key = stat_key(os.fstat(handle.fileno()))
+            key = _key(os.fstat(handle.fileno()))
             data = handle.read()
     except OSError:
         return None
@@ -652,7 +682,7 @@ def _read_local_text(
         parsed = cached.texts
     else:
         parsed = _contract_texts(data)
-    trusted = is_trusted(key, fence)
+    trusted = fence is not None and key[2] < fence and key[3] < fence
     return LocalText(package_path, path, key, trusted, digest, parsed)
 
 

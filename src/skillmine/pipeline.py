@@ -51,7 +51,7 @@ from .registry import (
     open_registry,
     skill_id_for,
 )
-from .util import Record, StatKey, atomic_write_text, dump_json_doc, sha256_hex, slugify
+from .util import Record, atomic_write_text, dump_json_doc, sha256_hex, slugify
 
 STAGE_ORDER = ("tree_check", "resource_search", "skill_build", "skill_test", "refresh")
 
@@ -191,9 +191,6 @@ class Pipeline:
         self._external_index: dict[str, noveltymod.CatalogIndex] | None = None
         self._local_texts: dict[str, noveltymod.LocalText] = {}
         self._local: noveltymod.CatalogIndex | None = None
-        # The sha256 of each library file its checkpoints digested, keyed on
-        # the file's stat key (see util.digest_dir).
-        self.file_hashes: dict[str, tuple[StatKey, str]] = {}
         self._last_verdicts: dict[str, str] = {}
         self._last_tree_edits: list[str] = []
 

@@ -249,105 +249,33 @@ def read_bytes_at(root: str, rel: str) -> bytes:
         return handle.read()
 
 
-def file_manifest(root: str | os.PathLike, exclude: Iterable[str] = ()) -> dict[str, str]:
-    """The sha256 of each file under root, by relative name, in walk order."""
-    top = os.fspath(root)
-    return {rel: sha256_hex(read_bytes_at(top, rel)) for rel in walk_files(top, exclude)}
-
-
-StatKey = tuple[int, int, int, int]  # st_ino, st_size, st_mtime_ns, st_ctime_ns
-
-
-def stat_key(stat: os.stat_result) -> StatKey:
-    return (stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
-
-
-def path_stat_key(path: str) -> StatKey | None:
-    """The stat key of the file at ``path``, through a link; None when it cannot be stat-ed."""
-    try:
-        return stat_key(os.stat(path))
-    except OSError:
-        return None
-
-
-def filesystem_time(directory: str) -> int | None:
-    """The ctime of a probe file made and removed in ``directory``: a
-    timestamp of that filesystem's clock, or None when no probe can be made."""
-    try:
-        fd, name = tempfile.mkstemp(dir=directory, prefix=".probe-")
-    except OSError:
-        return None
-    try:
-        return os.fstat(fd).st_ctime_ns
-    finally:
-        os.close(fd)
-        os.unlink(name)
-
-
-def is_trusted(key: StatKey, fence: int | None) -> bool:
-    """Whether ``key`` may stand for the bytes read after it was taken.
-
-    Git's racy-git rule: a key is trusted only when its mtime and ctime are
-    strictly older than ``fence``, a filesystem timestamp taken before the
-    key. ctime moves on every write and every ``utime``, and a replaced file
-    has a new inode, so a trusted key that still matches means the bytes are
-    the ones read; an edit in the same clock tick as the read would keep the
-    key, which is why such keys are not trusted. Without a fence nothing is.
-    """
-    return fence is not None and key[2] < fence and key[3] < fence
-
-
 _READ_CHUNK = 1 << 16
 
 
-def _hash_file(path: str, keyed: bool) -> tuple[StatKey | None, str]:
-    """The sha256 hex of the file at ``path`` and, when ``keyed``, the stat
-    key of the open file, taken before its bytes are read."""
+def _hash_file(path: str) -> str:
+    """The sha256 hex of the file at ``path``, read without a buffered file object."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        key = stat_key(os.fstat(fd)) if keyed else None
         digest = hashlib.sha256()
         while chunk := os.read(fd, _READ_CHUNK):
             digest.update(chunk)
     finally:
         os.close(fd)
-    return key, digest.hexdigest()
+    return digest.hexdigest()
 
 
-def digest_dir(
-    root: str | os.PathLike,
-    exclude: Iterable[str] = (),
-    known: dict[str, tuple[StatKey, str]] | None = None,
-    fence: int | None = None,
-) -> str:
-    """Content digest of a directory tree: each file's name and sha256, in walk order.
+def file_manifest(root: str | os.PathLike, exclude: Iterable[str] = ()) -> dict[str, str]:
+    """The sha256 of each file under root, by relative name, in walk order."""
+    top = os.fspath(root)
+    return {rel: _hash_file(os.path.join(top, rel)) for rel in walk_files(top, exclude)}
 
-    ``known``, kept by the caller across digests, maps a relative name to
-    the stat key of its file and the sha256 of the bytes read after that
-    key was taken. A file whose key still equals its entry is not read. The
-    digest leaves in ``known`` the files it listed whose keys are trusted
-    under ``fence`` (see ``is_trusted``), and nothing else. Every directory
-    is scanned on every digest, so new, removed and re-typed entries are
-    always seen.
-    """
+
+def digest_dir(root: str | os.PathLike, exclude: Iterable[str] = ()) -> str:
+    """Content digest of a directory tree: each file's name and sha256, in walk order."""
     top = os.fspath(root)
     digest = hashlib.sha256()
-    kept: dict[str, tuple[StatKey, str]] = {}
     for rel in walk_files(top, exclude):
-        path = os.path.join(top, rel)
-        if known is None:
-            file_digest = _hash_file(path, keyed=False)[1]
-        else:
-            entry = known.get(rel)
-            if entry is None or path_stat_key(path) != entry[0]:
-                entry = _hash_file(path, keyed=True)
-            if is_trusted(entry[0], fence):
-                kept[rel] = entry
-            file_digest = entry[1]
-        digest.update(f"{rel}\x00{file_digest}\x00".encode("utf-8"))
-    if known is not None:
-        known.clear()
-        known.update(kept)
+        digest.update(f"{rel}\x00{_hash_file(os.path.join(top, rel))}\x00".encode("utf-8"))
     return digest.hexdigest()
 
 

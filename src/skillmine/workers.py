@@ -30,13 +30,11 @@ from .pipeline import Pipeline, leaf_key, leaf_slug_path
 from .util import (
     NOT_WRITTEN,
     Record,
-    StatKey,
     atomic_write_bytes,
     atomic_write_text,
     dump_json_doc,
     digest_dir,
     file_manifest,
-    filesystem_time,
     is_escaping_relpath,
     sha256_hex,
     walk_files,
@@ -46,12 +44,11 @@ WORKSPACES_DIR = "workspaces"
 CAMPAIGNS_DIR = "campaigns"
 MARKER_FILE = ".workspace.json"
 WORKER_SCRATCH = ".worker"
-SANDBOX_DIR = "sandbox"  # the harness's scratch area, and the digest's clock
 
 # Volatile by design: excluded from state digests. "LOCK" is the lock file an
 # older registry left at the root; "site" holds an exported bundle and its
 # stale marker, output derived from the engine state.
-STATE_DIGEST_EXCLUDE = ("LOCK", WORKSPACES_DIR, CAMPAIGNS_DIR, SANDBOX_DIR, "site")
+STATE_DIGEST_EXCLUDE = ("LOCK", WORKSPACES_DIR, CAMPAIGNS_DIR, "sandbox", "site")
 
 
 def leaf_owned_prefixes(leaf_path: treemod.NodePath) -> tuple[str, str]:
@@ -69,21 +66,9 @@ def is_leaf_owned(rel_path: str, leaf_path: treemod.NodePath) -> bool:
     )
 
 
-def state_digest(root: str | Path, known: dict[str, tuple[StatKey, str]] | None = None) -> str:
-    """Digest of the durable library state, minus volatile scratch areas.
-
-    ``known`` is a cache of file hashes that a caller keeps across digests
-    (see ``util.digest_dir``); its keys are trusted against a probe of the
-    filesystem clock made in ``sandbox/``, which is created when missing.
-    Without it every file is read.
-    """
-    root = Path(root)
-    fence = None
-    if known is not None:
-        sandbox = root / SANDBOX_DIR
-        sandbox.mkdir(exist_ok=True)
-        fence = filesystem_time(os.fspath(sandbox))
-    return digest_dir(root, STATE_DIGEST_EXCLUDE, known, fence)
+def state_digest(root: str | Path) -> str:
+    """Digest of the durable library state, minus volatile scratch areas."""
+    return digest_dir(Path(root), exclude=STATE_DIGEST_EXCLUDE)
 
 
 @dataclass
@@ -340,7 +325,7 @@ def checkpoint_campaign(
         completed_cycles=list(completed_cycles),
         pending_skills=sorted(pipeline.state.pending_skills),
         cursor=cursor,
-        registry_digest=state_digest(pipeline.root, pipeline.file_hashes),
+        registry_digest=state_digest(pipeline.root),
         cycle_index=pipeline.state.cycle_index,
         provider_counters=pipeline.gateway.export_counters(),
         phases=list(phases),
@@ -364,11 +349,23 @@ def load_checkpoint(root: str | Path, campaign_id: str) -> CampaignCheckpoint:
     if not isinstance(record, dict):
         raise _unreadable(path, "not a JSON object")
     try:
-        return CampaignCheckpoint.from_record(record)
+        checkpoint = CampaignCheckpoint.from_record(record)
     except KeyError as exc:
         raise _unreadable(path, f"missing field {exc}") from None
-    except (TypeError, ValueError) as exc:  # a field of the wrong type
+    except (TypeError, ValueError) as exc:  # an int or tuple field of the wrong type
         raise _unreadable(path, str(exc)) from None
+    # from_record converts only int and tuple fields; the containers are checked here.
+    for name, kind in _CHECKPOINT_CONTAINERS:
+        if not isinstance(getattr(checkpoint, name), kind):
+            raise _unreadable(path, f"{name} is not a JSON {_JSON_KIND[kind]}")
+    return checkpoint
+
+
+_CHECKPOINT_CONTAINERS = (
+    ("completed_cycles", list), ("pending_skills", list), ("provider_counters", dict),
+    ("phases", list), ("config", dict),
+)
+_JSON_KIND = {list: "array", dict: "object"}
 
 
 def _checkpoint_path(root: str | Path, campaign_id: str) -> Path:
@@ -379,17 +376,15 @@ def _unreadable(path: Path, detail: str) -> WorkerError:
     return WorkerError(f"{path}: unreadable checkpoint: {detail}")
 
 
-def verify_checkpoint(
-    root: str | Path, campaign_id: str, known: dict[str, tuple[StatKey, str]] | None = None
-) -> tuple[CampaignCheckpoint, CampaignConfig]:
+def verify_checkpoint(root: str | Path, campaign_id: str) -> tuple[CampaignCheckpoint, CampaignConfig]:
     """The campaign's checkpoint and config, once the library is shown to be
-    in the state the checkpoint recorded; ``known`` goes to ``state_digest``.
+    in the state the checkpoint recorded.
 
     Refuses drifted state with ``DigestMismatchError`` before it looks at
     the stored config, and opens nothing but the checkpoint.
     """
     checkpoint = load_checkpoint(root, campaign_id)
-    current_digest = state_digest(root, known)
+    current_digest = state_digest(root)
     if checkpoint.registry_digest != current_digest:
         raise DigestMismatchError(
             f"campaign {campaign_id}: registry digest mismatch "
@@ -405,6 +400,8 @@ def verify_checkpoint(
         config = CampaignConfig.from_record({**stored, "campaign_id": campaign_id})
     except KeyError as exc:
         raise _unreadable(_checkpoint_path(root, campaign_id), f"missing config field {exc}") from None
+    except (TypeError, ValueError) as exc:  # a config field of the wrong type
+        raise _unreadable(_checkpoint_path(root, campaign_id), f"config: {exc}") from None
     return checkpoint, config
 
 
@@ -516,7 +513,7 @@ def resume_campaign(
     pipeline: Pipeline, campaign_id: str, stop_after_phases: int | None = None
 ) -> CampaignReport:
     """Resume from the checkpoint; refuses when on-disk state has drifted."""
-    checkpoint, config = verify_checkpoint(pipeline.root, campaign_id, pipeline.file_hashes)
+    checkpoint, config = verify_checkpoint(pipeline.root, campaign_id)
     return continue_campaign(pipeline, checkpoint, config, stop_after_phases)
 
 

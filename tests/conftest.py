@@ -19,8 +19,8 @@ from skillmine.contracts import (
     compile_package,
 )
 from skillmine.harness import ValidationHarness
+from skillmine.novelty import filesystem_time
 from skillmine.pipeline import Pipeline
-from skillmine.util import filesystem_time
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

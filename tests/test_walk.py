@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import hashlib
 import os
-import shutil
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skillmine import util, workers
+from skillmine import workers
 from skillmine.pipeline import Pipeline
-from skillmine.util import walk_files
+from skillmine.util import digest_dir, walk_files
 from skillmine.workers import (
     STATE_DIGEST_EXCLUDE,
     CampaignConfig,
@@ -126,6 +123,7 @@ def test_walk_lists_what_the_rglob_walk_listed(entries, exclude):
         build_tree(root, entries)
         assert walk_files(root, exclude) == reference_files(root, exclude)
         assert walk_files(str(root), exclude) == reference_files(root, exclude)
+        assert digest_dir(root, exclude) == reference_digest(root, exclude)
 
 
 def test_walk_of_all_cases_in_order(tmp_path):
@@ -164,8 +162,7 @@ def test_state_digest_equals_the_reference_and_old_checkpoints_resume(
     engine = make_engine(tmp_path / "library", campaign_script)
     # A checkpoint written with the reference digest, as by the rglob walk.
     monkeypatch.setattr(
-        workers, "state_digest",
-        lambda root, known=None: reference_digest(Path(root), STATE_DIGEST_EXCLUDE),
+        workers, "state_digest", lambda root: reference_digest(Path(root), STATE_DIGEST_EXCLUDE)
     )
     assert run_campaign(engine, two_branch_config(), stop_after_phases=2).status == "interrupted"
     monkeypatch.undo()
@@ -204,106 +201,7 @@ def test_excluded_areas_are_never_scanned(tmp_path, campaign_script, monkeypatch
     assert scans_of_one_digest() == before + 1
 
 
-# -- the cached digest ----------------------------------------------------------------
-
-CHANGES = ["edit", "racy_edit", "swap", "add_file", "delete_file", "add_dir", "delete_dir",
-           "retarget_link", "fifo"]
-
-
-def flip(path: Path) -> None:
-    """Change every byte but keep the size, and put the old mtime back."""
-    stat = os.stat(path)
-    path.write_bytes(bytes((b + 1) % 256 for b in path.read_bytes()))
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-
-
-def apply_change(root: Path, change: str, n: int, payload: bytes, known: dict) -> None:
-    files = reference_files(root, STATE_DIGEST_EXCLUDE)
-    dirs = sorted(p for p in root.rglob("*") if p.is_dir() and not p.is_symlink()
-                  and p.relative_to(root).parts[0] not in STATE_DIGEST_EXCLUDE)
-    target = root / files[n % len(files)] if files else None
-    if change == "edit" and target:
-        flip(target)
-    elif change == "racy_edit" and target:
-        # Digested between two edits of one clock tick: the second keeps the
-        # key the digest saw, so that key must not have been trusted.
-        flip(target)
-        assert state_digest(root, known) == reference_digest(root, STATE_DIGEST_EXCLUDE)
-        flip(target)
-    elif change == "swap" and target:
-        stat = os.stat(target)
-        swap = target.with_name(target.name + ".new")
-        swap.write_bytes(bytes((b + 1) % 256 for b in target.read_bytes()))
-        os.utime(swap, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        os.replace(swap, target)
-    elif change == "add_file":
-        (dirs[n % len(dirs)] if dirs else root).joinpath(f"new{n}").write_bytes(payload)
-    elif change == "delete_file" and target:
-        target.unlink()
-    elif change == "add_dir":
-        (root / f"dir{n}").mkdir(exist_ok=True)
-        (root / f"dir{n}" / "f").write_bytes(payload)
-    elif change == "delete_dir" and dirs:
-        shutil.rmtree(dirs[n % len(dirs)])
-    elif change == "retarget_link":
-        link = root / "link"
-        to_dir = not (link.is_symlink() and link.is_dir())
-        if os.path.lexists(link):
-            link.unlink()
-        if to_dir and dirs:
-            link.symlink_to(os.path.relpath(dirs[n % len(dirs)], root))
-        elif target:
-            link.symlink_to(os.path.relpath(target, root))
-    elif change == "fifo" and not os.path.lexists(root / f"fifo{n}"):
-        os.mkfifo(root / f"fifo{n}")
-
-
-TICK_NS = 10_000_000
-
-
-@contextlib.contextmanager
-def clock_ticking_every(tick: int | None):
-    """Stat keys and probe times as a filesystem whose clock ticks every
-    ``tick`` ns would give them. Where writes get distinct ctimes, as with
-    fine-grained timestamps, two edits in one tick still leave one key here."""
-    if tick is None:
-        yield
-        return
-    real_key, real_time = util.stat_key, workers.filesystem_time
-
-    def key(stat):
-        ino, size, mtime, ctime = real_key(stat)
-        return (ino, size, mtime - mtime % tick, ctime - ctime % tick)
-
-    def probe_time(directory):
-        now = real_time(directory)
-        return None if now is None else now - now % tick
-
-    with mock.patch.object(util, "stat_key", key), \
-            mock.patch.object(workers, "filesystem_time", probe_time):
-        yield
-
-
-@pytest.mark.parametrize("tick", [None, TICK_NS], ids=["real-clock", "10ms-clock"])
-@settings(max_examples=80, deadline=None)
-@given(steps=st.lists(
-    st.tuples(st.sampled_from(CHANGES), st.integers(0, 5), st.binary(min_size=1, max_size=3)),
-    max_size=10,
-))
-@example(steps=[(change, 1, b"x") for change in CHANGES])
-def test_a_cached_digest_equals_a_fresh_one_after_every_change(tick, steps):
-    with tempfile.TemporaryDirectory() as scratch, clock_ticking_every(tick):
-        root = Path(scratch) / "lib"
-        for rel in ("a.txt", "d/b.txt", "d/e/c.txt", "site/index.html"):
-            (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            (root / rel).write_text(rel, encoding="utf-8")
-        (root / "link").symlink_to("a.txt")
-        known: dict = {}
-        for change, n, payload in [("edit", 0, b"")] + steps:
-            apply_change(root, change, n, payload, known)
-            cached = state_digest(root, known)
-            assert cached == state_digest(root) == reference_digest(root, STATE_DIGEST_EXCLUDE)
-            assert set(known) <= set(walk_files(root, STATE_DIGEST_EXCLUDE))
+# -- reading failures -----------------------------------------------------------------
 
 
 def open_descriptors() -> int:
@@ -315,15 +213,13 @@ def test_a_digest_that_cannot_read_a_file_leaves_no_descriptor_open(tmp_path, mo
         pytest.skip("no /proc/self/fd to count descriptors in")
     for n in range(3):
         (tmp_path / f"f{n}").write_text("x")
-    state_digest(tmp_path, {})  # makes sandbox/ before the count
 
     def failing_read(fd, size):
         raise OSError(errno.EIO, "read failed")
 
     before = open_descriptors()
     monkeypatch.setattr(os, "read", failing_read)
-    for known in (None, {}):
-        with pytest.raises(OSError, match="read failed"):
-            state_digest(tmp_path, known)
+    with pytest.raises(OSError, match="read failed"):
+        state_digest(tmp_path)
     monkeypatch.undo()
     assert open_descriptors() == before
