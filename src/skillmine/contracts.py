@@ -2,10 +2,12 @@
 
 A package is a directory with ``SKILL.md`` (human-readable spec),
 ``skill.json`` (machine-readable mirror), ``PROVENANCE.md``, and ``scripts/``,
-``examples/``, ``tests/`` subtrees. Compilation is deterministic: the same
-contract and artifacts always produce byte-identical output. The smoke target
-is the first test command, a plain string: the harness runs it at the package
-root and a run passes on exit status 0.
+``examples/``, ``tests/`` subtrees. Its value is the directory alone: the
+contract is read from ``skill.json`` when asked for, and only lint lists
+``scripts/``. Compilation is deterministic: the same contract and artifacts
+always produce byte-identical output. The smoke target is the first test
+command, a plain string: the harness runs it at the package root and a run
+passes on exit status 0.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ METADATA_DOCUMENT = "skill.json"
 PROVENANCE_DOCUMENT = "PROVENANCE.md"
 PACKAGE_DIRS = ("scripts", "examples", "tests")
 
-_SECTIONS = ("Scope", "Inputs", "Outputs", "Environment", "Steps", "Provenance", "Follow-up", "Examples", "Tests")
-
 
 @dataclass(frozen=True)
 class ContractInput:
@@ -74,15 +74,9 @@ class SkillContract:
 @dataclass(frozen=True)
 class SkillPackage:
     root_path: Path
-    spec_document: str = SPEC_DOCUMENT
-    metadata_document: str = METADATA_DOCUMENT
-    provenance_document: str = PROVENANCE_DOCUMENT
-    scripts: tuple[str, ...] = ()
-    examples: tuple[str, ...] = ()
-    tests: tuple[str, ...] = ()
 
     def contract(self) -> SkillContract:
-        return load_contract(self.root_path / self.metadata_document)
+        return load_contract(self.root_path / METADATA_DOCUMENT)
 
 
 _UNQUOTED_SPACE = re.compile(r"[ \t\r\n]+")
@@ -335,27 +329,17 @@ def compile_package(
 
 
 def load_package(root: str | Path) -> SkillPackage:
-    root = Path(root)
-
-    def listing(sub: str) -> tuple[str, ...]:
-        return tuple(sorted(f"{sub}/{rel}" for rel in walk_files(root / sub)))
-
-    return SkillPackage(
-        root_path=root,
-        scripts=listing("scripts"),
-        examples=listing("examples"),
-        tests=listing("tests"),
-    )
+    return SkillPackage(Path(root))
 
 
 def lint_package(package: SkillPackage) -> list[str]:
     """Empty findings mean the package is structurally sound."""
     findings: list[str] = []
     root = package.root_path
-    for required in (package.spec_document, package.metadata_document, package.provenance_document):
+    for required in (SPEC_DOCUMENT, METADATA_DOCUMENT, PROVENANCE_DOCUMENT):
         if not (root / required).is_file():
             findings.append(f"missing-file: {required}")
-    metadata_path = root / package.metadata_document
+    metadata_path = root / METADATA_DOCUMENT
     contract: SkillContract | None = None
     if metadata_path.is_file():
         try:
@@ -363,16 +347,13 @@ def lint_package(package: SkillPackage) -> list[str]:
         except (PackageError, MissingRequiredFieldError, MalformedInvocationError) as exc:
             findings.append(f"metadata-error: {exc}")
 
-    spec_path = root / package.spec_document
+    spec_path = root / SPEC_DOCUMENT
     if contract is not None and spec_path.is_file():
         findings.extend(_spec_metadata_divergences(spec_path.read_text("utf-8"), contract))
 
-    for listed in package.scripts + package.examples + package.tests:
-        target = root / listed
-        if not target.is_file():
-            findings.append(f"missing-file: {listed}")
-        elif listed.startswith("scripts/") and not os.access(target, os.X_OK):
-            findings.append(f"not-executable: {listed}")
+    for rel in walk_files(root / "scripts"):
+        if not os.access(root / "scripts" / rel, os.X_OK):
+            findings.append(f"not-executable: scripts/{rel}")
 
     # A package with no test commands still lints clean; the missing-tests
     # note is recorded on the registry entry, not here.

@@ -15,7 +15,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import (
     GatewayError,
@@ -27,17 +27,6 @@ from .errors import (
 )
 from .util import canonical_json
 
-STAGE_KINDS = (
-    "tree_check",
-    "resource_search",
-    "skill_build",
-    "design_skill",
-    "layer1_fix",
-    "layer2_optimize",
-    "novelty_check",
-    "parallel_leaf_stage",
-)
-
 EFFORT_LEVELS = ("low", "medium", "high")
 
 PROVIDER_URL_VAR = "SF_PROVIDER_URL"
@@ -45,18 +34,6 @@ PROVIDER_KEY_VAR = "SF_PROVIDER_KEY"
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFFS = (1.0, 2.0, 4.0)
-
-# Required context fields per stage; rendering fails fast on a missing one.
-REQUIRED_CONTEXT: dict[str, tuple[str, ...]] = {
-    "tree_check": ("repository_summary",),
-    "resource_search": ("repository_summary", "focus_leaves", "objective"),
-    "skill_build": ("target_leaf", "objective"),
-    "design_skill": ("task_prompt",),
-    "layer1_fix": ("target_skill", "failure_log"),
-    "layer2_optimize": ("target_skill", "benchmark_results"),
-    "novelty_check": ("target_skill", "matches"),
-    "parallel_leaf_stage": ("target_leaf", "artifact_directory"),
-}
 
 _CYCLE_TEMPLATE = (
     "You are the cycle controller for a skill library repository. "
@@ -91,17 +68,6 @@ _EVALUATION_TEMPLATE = (
     "external ecosystems. Return only a JSON object matching the {stage} stage schema."
 )
 
-_TEMPLATES: dict[str, str] = {
-    "tree_check": _CYCLE_TEMPLATE,
-    "resource_search": _CYCLE_TEMPLATE,
-    "skill_build": _CYCLE_TEMPLATE,
-    "design_skill": _DESIGN_TEMPLATE,
-    "layer1_fix": _EVALUATION_TEMPLATE,
-    "layer2_optimize": _EVALUATION_TEMPLATE,
-    "novelty_check": _EVALUATION_TEMPLATE,
-    "parallel_leaf_stage": _PARALLEL_TEMPLATE,
-}
-
 
 @dataclass(frozen=True)
 class PromptBundle:
@@ -114,7 +80,6 @@ class PromptBundle:
 class StageResponse:
     stage: str
     fields: Mapping[str, Any]
-    raw_text: str
     unknown_fields: tuple[str, ...] = ()
 
     def digest(self) -> str:
@@ -139,24 +104,24 @@ class EffortProfile:
         return self.assignments[stage]
 
     @classmethod
-    def default(cls, model: str = "default-model", search_model: str | None = None) -> "EffortProfile":
-        assignments: dict[str, tuple[str, str]] = {}
-        for stage in STAGE_KINDS:
-            if stage == "resource_search":
-                assignments[stage] = (search_model or model, "high")
-            else:
-                assignments[stage] = (model, "medium")
-        return cls(assignments=assignments)
+    def default(cls, model: str = "default-model") -> "EffortProfile":
+        return cls(
+            assignments={
+                stage: (model, "high" if stage == "resource_search" else "medium")
+                for stage in STAGE_KINDS
+            }
+        )
 
 
 def render_prompt(stage: str, context: Mapping[str, Any]) -> PromptBundle:
     """Pure, deterministic rendering of the fixed stage template."""
-    if stage not in STAGE_KINDS:
+    if stage not in _STAGES:
         raise GatewayError(f"unknown stage kind: {stage}")
-    for name in REQUIRED_CONTEXT[stage]:
+    declared = _STAGES[stage]
+    for name in declared.context:
         if name not in context or context[name] in (None, ""):
             raise MissingContextFieldError(stage, name)
-    system_text = _TEMPLATES[stage].format(stage=stage)
+    system_text = declared.template.format(stage=stage)
     fields = {key: context[key] for key in sorted(context)}
     fields.setdefault("STAGE", stage)
     fields.setdefault("MODE", "cycle" if stage not in ("design_skill", "parallel_leaf_stage") else stage)
@@ -168,6 +133,16 @@ def render_prompt(stage: str, context: Mapping[str, Any]) -> PromptBundle:
 
 def _is_str_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check(accepts: Callable[[Any], bool], detail: str) -> Callable[[Any], str | None]:
+    """A field check that gives ``detail`` for a value ``accepts`` refuses, else None."""
+    return lambda value: None if accepts(value) else detail
+
+
+_string = _check(lambda v: isinstance(v, str), "must be a string")
+_boolean = _check(lambda v: isinstance(v, bool), "must be a boolean")
+_strings = _check(_is_str_list, "must be a list of strings")
 
 
 def _check_resources(value: Any) -> str | None:
@@ -215,55 +190,74 @@ def _check_edits(value: Any) -> str | None:
     return None
 
 
-# field name -> checker returning an error detail or None
-_SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
-    "tree_check": {
-        "focus_leaves": lambda v: None if _is_str_list(v) else "must be a list of paths",
-        "rationale": lambda v: None if isinstance(v, str) else "must be a string",
-    },
-    "resource_search": {"resources": _check_resources},
-    "skill_build": {"candidates": _check_candidates},
-    "design_skill": {
-        "contract": lambda v: None if isinstance(v, dict) else "must be an object",
-        "resources_used": _check_resources,
-        "test_plan": lambda v: None if isinstance(v, str) else "must be a string",
-    },
-    "layer1_fix": {
-        "diagnosis": lambda v: None if isinstance(v, str) else "must be a string",
-        "edits": _check_edits,
-        "retest": lambda v: None if isinstance(v, bool) else "must be a boolean",
-    },
-    "layer2_optimize": {
-        "actions": _check_edits,
-        "rebenchmark": lambda v: None if isinstance(v, bool) else "must be a boolean",
-    },
-    "novelty_check": {
-        "matches": lambda v: None if isinstance(v, list) else "must be a list",
-        "decision": lambda v: None
-        if v in ("novel", "redundant", "merge", "review", "deprioritize")
-        else "must be a novelty decision",
-        "rationale": lambda v: None if isinstance(v, str) else "must be a string",
-    },
-    "parallel_leaf_stage": {
-        "repo_changes": lambda v: None if _is_str_list(v) else "must be a list of strings",
-        "blockers": lambda v: None if _is_str_list(v) else "must be a list of strings",
-        "next_steps": lambda v: None if _is_str_list(v) else "must be a list of strings",
-    },
+class _Stage(NamedTuple):
+    """One stage kind. Rendering fails fast on a missing ``context`` field;
+    each ``schema`` field is required in the response and its check returns
+    an error detail or None; ``optional`` fields are not flagged as unknown."""
+
+    context: tuple[str, ...]
+    template: str
+    schema: Mapping[str, Callable[[Any], str | None]]
+    optional: tuple[str, ...] = ()
+
+
+_STAGES: dict[str, _Stage] = {
+    "tree_check": _Stage(
+        ("repository_summary",), _CYCLE_TEMPLATE,
+        {"focus_leaves": _check(_is_str_list, "must be a list of paths"), "rationale": _string},
+        ("proposed_edits",),
+    ),
+    "resource_search": _Stage(
+        ("repository_summary", "focus_leaves", "objective"), _CYCLE_TEMPLATE,
+        {"resources": _check_resources},
+    ),
+    "skill_build": _Stage(
+        ("target_leaf", "objective"), _CYCLE_TEMPLATE, {"candidates": _check_candidates}
+    ),
+    "design_skill": _Stage(
+        ("task_prompt",), _DESIGN_TEMPLATE,
+        {
+            "contract": _check(lambda v: isinstance(v, dict), "must be an object"),
+            "resources_used": _check_resources,
+            "test_plan": _string,
+        },
+        ("needs_resources",),
+    ),
+    "layer1_fix": _Stage(
+        ("target_skill", "failure_log"), _EVALUATION_TEMPLATE,
+        {"diagnosis": _string, "edits": _check_edits, "retest": _boolean},
+    ),
+    "layer2_optimize": _Stage(
+        ("target_skill", "benchmark_results"), _EVALUATION_TEMPLATE,
+        {"actions": _check_edits, "rebenchmark": _boolean},
+    ),
+    "novelty_check": _Stage(
+        ("target_skill", "matches"), _EVALUATION_TEMPLATE,
+        {
+            "matches": _check(lambda v: isinstance(v, list), "must be a list"),
+            "decision": _check(
+                lambda v: v in ("novel", "redundant", "merge", "review", "deprioritize"),
+                "must be a novelty decision",
+            ),
+            "rationale": _string,
+        },
+        ("uncertain",),
+    ),
+    "parallel_leaf_stage": _Stage(
+        ("target_leaf", "artifact_directory"), _PARALLEL_TEMPLATE,
+        {"repo_changes": _strings, "blockers": _strings, "next_steps": _strings},
+        ("files", "summary"),
+    ),
 }
 
-# Declared-but-optional fields that are not flagged as unknown.
-_OPTIONAL_FIELDS: dict[str, tuple[str, ...]] = {
-    "tree_check": ("proposed_edits",),
-    "design_skill": ("needs_resources",),
-    "parallel_leaf_stage": ("files", "summary"),
-    "novelty_check": ("uncertain",),
-}
+STAGE_KINDS = tuple(_STAGES)
 
 
 def validate_response(stage: str, raw_text: str) -> StageResponse:
     """Parse exactly one JSON object and check it against the stage schema."""
-    if stage not in STAGE_KINDS:
+    if stage not in _STAGES:
         raise GatewayError(f"unknown stage kind: {stage}")
+    declared = _STAGES[stage]
     decoder = json.JSONDecoder()
     stripped = raw_text.strip()
     if not stripped.startswith("{"):
@@ -279,17 +273,16 @@ def validate_response(stage: str, raw_text: str) -> StageResponse:
     if not isinstance(document, dict):
         raise NotASingleDocumentError(f"stage {stage}: response must be a JSON object")
 
-    schema = _SCHEMAS[stage]
-    for name, check in schema.items():
+    for name, check in declared.schema.items():
         if name not in document:
             raise SchemaViolationError(stage, name, "missing required field")
         detail = check(document[name])
         if detail is not None:
             raise SchemaViolationError(stage, name, detail)
 
-    declared = set(schema) | set(_OPTIONAL_FIELDS.get(stage, ()))
-    unknown = tuple(sorted(k for k in document if k not in declared))
-    return StageResponse(stage=stage, fields=document, raw_text=raw_text, unknown_fields=unknown)
+    declared_fields = set(declared.schema) | set(declared.optional)
+    unknown = tuple(sorted(k for k in document if k not in declared_fields))
+    return StageResponse(stage=stage, fields=document, unknown_fields=unknown)
 
 
 # -- providers ---------------------------------------------------------------------
@@ -304,15 +297,13 @@ class MockProvider:
     test-configuration error, never silently defaulted.
     """
 
-    name = "mock"
-
     def __init__(self, script_dir: str | Path):
         self.script_dir = Path(script_dir)
         if not self.script_dir.is_dir():
             raise MockMissError(f"mock script directory does not exist: {self.script_dir}")
         self._counters: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._index: dict[tuple[str, str], list[Path]] = {}
+        numbered: dict[tuple[str, str], list[tuple[int, Path]]] = {}
         for path in sorted(self.script_dir.glob("*.json")):
             parts = path.stem.split("__")
             if len(parts) != 3:
@@ -322,9 +313,8 @@ class MockProvider:
                 order = int(n)
             except ValueError:
                 continue
-            self._index.setdefault((stage, key), []).append(path)
-        for paths in self._index.values():
-            paths.sort(key=lambda p: int(p.stem.split("__")[2]))
+            numbered.setdefault((stage, key), []).append((order, path))
+        self._index = {k: [path for _, path in sorted(v)] for k, v in numbered.items()}
 
     def complete(self, bundle: PromptBundle, model: str, effort: str, response_key: str) -> str:
         del model, effort
@@ -364,8 +354,6 @@ class LiveProvider:
     ``max_in_flight`` is the per-provider budget honored across concurrent
     callers: requests beyond it queue on a semaphore.
     """
-
-    name = "live"
 
     def __init__(
         self,

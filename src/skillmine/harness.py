@@ -308,7 +308,6 @@ class ValidationHarness:
         self,
         argv: list[str],
         cwd: Path,
-        timeout: float,
         extra_env: Mapping[str, str] | None = None,
     ) -> tuple[int | None, bytes, float]:
         env = dict(_BASE_ENV)
@@ -322,7 +321,7 @@ class ValidationHarness:
                 cwd=cwd,
                 env=env,
                 capture_output=True,
-                timeout=timeout,
+                timeout=self.timeout,
             )
             exit_status: int | None = completed.returncode
             log = completed.stdout + completed.stderr
@@ -410,7 +409,7 @@ class ValidationHarness:
 
         with self._sandbox(package, skill_id, "execution", attempt) as sandbox:
             try:
-                run = self._run(tokenize_command(smoke), sandbox, self.timeout)
+                run = self._run(tokenize_command(smoke), sandbox)
             except HarnessError as exc:
                 return self._report_without_run(
                     skill_id, "execution", smoke, str(exc), "error", attempt
@@ -595,7 +594,7 @@ class ValidationHarness:
             argv = tokenize_command(rendered)
 
             before = file_manifest(sandbox)
-            exit_status, log, _duration = self._run(argv, sandbox, self.timeout)
+            exit_status, log, _duration = self._run(argv, sandbox)
             if exit_status is None:
                 raise HarnessError(f"synthetic invocation timed out: {rendered}")
 
@@ -629,9 +628,9 @@ class ValidationHarness:
         self,
         package: SkillPackage,
         skill_id: str,
-        attempt: int = 1,
     ) -> TestReport:
-        """Render a batch submission and execute it on the simulated backend."""
+        """Render a batch submission and execute it on the simulated backend,
+        as attempt 1."""
         if not needs_scheduler(package):
             raise NotApplicableError(
                 f"package for {skill_id} declares no scheduler-dependent assumption"
@@ -647,19 +646,19 @@ class ValidationHarness:
         if ntasks > MAX_TASKS:
             message = f"queue rejection: ntasks={ntasks} exceeds max={MAX_TASKS}"
             return self._report_without_run(
-                skill_id, "system", smoke, message, "fail", attempt, submission
+                skill_id, "system", smoke, message, "fail", 1, submission
             )
 
-        with self._sandbox(package, skill_id, "system", attempt) as sandbox:
+        with self._sandbox(package, skill_id, "system", 1) as sandbox:
             atomic_write_text(sandbox / "submission.txt", submission)
             env = {
                 JOB_ID_VAR: job_id_for(job_name),
                 JOB_NAME_VAR: job_name,
                 NTASKS_VAR: str(ntasks),
             }
-            run = self._run(tokenize_command(smoke), sandbox, self.timeout, env)
+            run = self._run(tokenize_command(smoke), sandbox, env)
             return self._report_of_run(
-                skill_id, "system", smoke, run, sandbox, attempt, submission
+                skill_id, "system", smoke, run, sandbox, 1, submission
             )
 
     # -- layer 2: benchmark -------------------------------------------------------------
@@ -708,14 +707,12 @@ class ValidationHarness:
                     raise PathEscapeError(rel)
                 atomic_write_text(sandbox / rel, content)
 
-            exit_status, _log, _d = self._run(tokenize_command(command), sandbox, self.timeout)
+            exit_status, _log, _d = self._run(tokenize_command(command), sandbox)
             if exit_status != 0:
                 # A crashed arm scores zero for that arm; this is data, not an error.
                 return 0.0
 
-            score_exit, score_log, _d = self._run(
-                tokenize_command(case.score_command), sandbox, self.timeout
-            )
+            score_exit, score_log, _d = self._run(tokenize_command(case.score_command), sandbox)
         text = score_log.decode("utf-8", errors="replace").strip().split()
         if score_exit != 0 or not text:
             raise NonNumericScoreError(
@@ -794,26 +791,46 @@ class ValidationHarness:
 
 
 def load_benchmark_cases(path: Path) -> list[BenchmarkCase]:
-    """Read the external benchmark case file format."""
+    """Read the external benchmark case file format. ``fixture_paths`` are
+    read relative to the case file's directory; one that resolves outside it
+    raises ``PathEscapeError``, and any other malformed or unreadable input
+    raises ``HarnessError``."""
     import json
+
+    def unreadable(detail) -> HarnessError:
+        return HarnessError(f"unreadable benchmark case file {path}: {detail}")
 
     try:
         document = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise HarnessError(f"unreadable benchmark case file {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise unreadable(exc) from None
+    rows = document.get("cases", []) if isinstance(document, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise unreadable("expected an object whose cases are objects")
+    base = path.parent.resolve()
     cases = []
-    for row in document.get("cases", []):
-        fixtures = dict(row.get("fixtures", {}))
-        for src in row.get("fixture_paths", []):
-            source = (path.parent / src).resolve()
-            fixtures[Path(src).name] = source.read_text("utf-8")
-        cases.append(
-            BenchmarkCase(
-                case_id=row["id"],
-                with_command=row["with_command"],
-                baseline_command=row["baseline_command"],
-                score_command=row["score_command"],
-                fixtures=fixtures,
+    for number, row in enumerate(rows, start=1):
+        texts = [row.get(key) for key in ("id", "with_command", "baseline_command", "score_command")]
+        fixtures, sources = row.get("fixtures", {}), row.get("fixture_paths", [])
+        if not (
+            all(isinstance(text, str) for text in texts)
+            and isinstance(fixtures, dict)
+            and all(isinstance(text, str) for text in fixtures.values())
+            and isinstance(sources, list)
+            and all(isinstance(src, str) for src in sources)
+        ):
+            raise unreadable(
+                f"case {number} needs id, with_command, baseline_command and score_command "
+                "strings, fixtures mapping names to text and fixture_paths listing paths"
             )
-        )
+        fixtures = dict(fixtures)
+        for src in sources:
+            source = (base / src).resolve()
+            if not source.is_relative_to(base):
+                raise PathEscapeError(src)
+            try:
+                fixtures[Path(src).name] = source.read_text("utf-8")
+            except (OSError, ValueError) as exc:
+                raise unreadable(f"case {number}: fixture {src}: {exc}") from None
+        cases.append(BenchmarkCase(*texts, fixtures=fixtures))
     return cases

@@ -28,9 +28,6 @@ from .util import json_objects
 SAME_TASK_JACCARD = 0.6
 SAME_SCOPE_JACCARD = 0.6
 
-OVERLAP_LEVELS = ("same_task_same_scope", "same_task_diff_scope", "related", "none")
-DECISIONS = ("novel", "redundant", "merge", "review", "deprioritize")
-
 # Fixed 50-entry English function-word list; determinism over sophistication.
 STOP_WORDS = frozenset(
     """
@@ -59,8 +56,6 @@ class CatalogEntry(NamedTuple):
     entry_ref: str
     task_description: str
     scope_summary: str = ""
-    topic_path: str = ""
-    provenance: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -502,16 +497,17 @@ def _local_survivor(registry: Registry, verdict: NoveltyVerdict):
     return None
 
 
-def load_catalog_snapshot(path: str | Path, catalog_id: str | None = None) -> list[CatalogEntry]:
-    """Read a newline-delimited catalog snapshot file.
+def load_catalog_snapshot(path: str | Path) -> list[CatalogEntry]:
+    """Read a newline-delimited catalog snapshot file, named by its stem.
 
     Lines are decoded by ``util.json_objects``, as the registry decodes its
     logs: each to what ``json.loads`` gives it. A line that is not a JSON
-    object, or lacks ``entry_ref`` or ``task_description``, raises
-    ``CatalogReadError`` naming the file and line.
+    object, lacks ``entry_ref`` or ``task_description``, or has one of them
+    or ``scope_summary`` that is not a string, raises ``CatalogReadError``
+    naming the file and line. Other keys are ignored.
     """
     path = Path(path)
-    name = catalog_id or path.stem
+    name = path.stem
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -525,16 +521,11 @@ def load_catalog_snapshot(path: str | Path, catalog_id: str | None = None) -> li
     for line_no, record in json_objects(data.decode("utf-8"), unreadable):
         if "entry_ref" not in record or "task_description" not in record:
             raise unreadable(line_no, "entry_ref and task_description are required")
-        entries.append(
-            CatalogEntry(
-                name,
-                record["entry_ref"],
-                record["task_description"],
-                record.get("scope_summary", ""),
-                record.get("topic_path", ""),
-                tuple(record.get("provenance", ())),
-            )
-        )
+        ref, task = record["entry_ref"], record["task_description"]
+        scope = record.get("scope_summary", "")
+        if not (isinstance(ref, str) and isinstance(task, str) and isinstance(scope, str)):
+            raise unreadable(line_no, "entry_ref, task_description and scope_summary must be strings")
+        entries.append(CatalogEntry(name, ref, task, scope))
     return entries
 
 
@@ -638,8 +629,6 @@ def local_catalog_entries(
             entry_ref=skill.id,
             task_description=task_text,
             scope_summary=scope_text,
-            topic_path=skill.leaf_path,
-            provenance=tuple(skill.provenance),
         )
         if cached is None:
             texts.pop(skill.id, None)

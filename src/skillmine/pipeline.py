@@ -2,11 +2,13 @@
 skill_test -> refresh, plus prompt-driven single-skill design.
 
 Stages 1-4 append to the record logs, and they write files of their own:
-skill_build compiles candidate packages into ``skills/`` and skill_test writes
-verification reports under ``reports/verifications/`` and repaired packages
-back into ``skills/``. Only ``_commit_tree``, called by refresh and by a
-design commit, writes the tree snapshot (``tree.snapshot``), the compacted
-indexes (``index/``) and the ``site/.stale`` marker, under the writer lock.
+skill_build compiles candidate packages into ``skills/``, removing any that
+compile or lint refuses, and skill_test writes verification reports under
+``reports/verifications/`` and repaired packages back into ``skills/``.
+Only ``commit_tree``, called by refresh, by a design commit and by a campaign
+evaluation that changed a skill's status, writes the tree snapshot
+(``tree.snapshot``), the compacted indexes (``index/``) and the
+``site/.stale`` marker, under the writer lock.
 A stage error aborts the cycle before refresh and leaves those untouched
 (``test_aborted_cycle_leaves_committed_state_untouched`` and
 ``test_stages_one_to_four_never_mutate_committed_state`` pin this); the
@@ -18,6 +20,7 @@ points at; which of them depends on timing.
 
 from __future__ import annotations
 
+import shutil
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,7 +38,7 @@ from .errors import (
     PipelineError,
     RefreshAbortedError,
 )
-from .gateway import EffortProfile, Gateway, LiveProvider, MockProvider, StageResponse
+from .gateway import STAGE_KINDS, EffortProfile, Gateway, LiveProvider, MockProvider, StageResponse
 from .harness import (
     RepairOutcome,
     SyntheticReport,
@@ -211,8 +214,6 @@ class Pipeline:
         profile = EffortProfile.default(self.config.model)
         if not self.config.efforts:
             return profile
-        from .gateway import STAGE_KINDS
-
         assignments = dict(profile.assignments)
         for entry in self.config.efforts:
             parts = entry.split(":")
@@ -419,6 +420,7 @@ class Pipeline:
 
         findings = contractsmod.lint_package(package)
         if findings:
+            shutil.rmtree(package.root_path)
             self._scratch.notes.append(f"lint-findings: {entry.id}: {'; '.join(findings)}")
             return False
         self.registry.upsert_skill(entry)
@@ -433,12 +435,18 @@ class Pipeline:
     ) -> tuple[contractsmod.SkillPackage, SkillEntry]:
         """Compile a new package for ``contract`` under ``leaf``, with the
         artifacts ``document`` carries; returns it with its untested entry,
-        which the caller upserts."""
+        which the caller upserts. A package that compiling refuses is removed:
+        no record points at it, and the next candidate of that name would
+        compile into the same directory."""
         skill_id = skill_id_for(leaf, name, {e.id for e in self.registry.skills()})
         package_rel = f"skills/{leaf_slug_path(treemod.parse_path(leaf))}/{skill_id}"
-        package = contractsmod.compile_package(
-            contract, dict(document.get("artifacts", {})), self.root / package_rel, name=name
-        )
+        try:
+            package = contractsmod.compile_package(
+                contract, dict(document.get("artifacts", {})), self.root / package_rel, name=name
+            )
+        except BaseException:
+            shutil.rmtree(self.root / package_rel, ignore_errors=True)
+            raise
         entry = SkillEntry(
             id=skill_id,
             name=name,
@@ -557,7 +565,7 @@ class Pipeline:
                     tree, description = applied
                     tree_edits.append(description)
 
-            self._commit_tree(tree, "refresh")
+            self.commit_tree(tree, "refresh")
 
             promoted = [
                 s
@@ -705,7 +713,7 @@ class Pipeline:
             )
         return noveltymod.adjudicate(contract, matches, provider_response, skill_id=skill_id)
 
-    def _commit_tree(self, tree: treemod.DomainTree, what: str) -> None:
+    def commit_tree(self, tree: treemod.DomainTree, what: str) -> None:
         """Gate ``tree`` on ``integrity_check``, then write it, the indexes and
         the stale-site marker and move removed packages to the graveyard.
         The caller holds the writer lock; ``what`` names the commit."""
@@ -721,8 +729,6 @@ class Pipeline:
         self._move_removed_to_graveyard()
 
     def _move_removed_to_graveyard(self) -> None:
-        import shutil
-
         for entry in self.registry.skills():
             if entry.status != "removed" or not entry.package_path:
                 continue
@@ -846,7 +852,7 @@ class Pipeline:
             with self.registry.lock:
                 verdict = self.adjudicate(skill_id, self._local_index())
                 tree = noveltymod.apply_verdict(self.tree, self.registry, verdict, cycle)
-                self._commit_tree(tree, "design")
+                self.commit_tree(tree, "design")
             steps.append(f"novelty_check verdict={verdict.decision}")
             design.verdict = verdict.decision
             if self.registry.skill(skill_id).status == "verified":

@@ -15,19 +15,14 @@ from .contracts import load_contract
 from .errors import ExportError
 from .pipeline import CycleReport, STAGE_ORDER
 from .registry import LibraryStats, Registry
-from .util import Record, atomic_write_text, digest_dir, dump_json_doc
+from .util import Record, atomic_write_text, dump_json_doc
 
 
 @dataclass
 class SiteBundle:
     root: Path
     stats: LibraryStats
-    taxonomy: dict
     skills_index: list[dict]
-    resources_index: list[dict]
-
-    def digest(self) -> str:
-        return digest_dir(self.root)
 
 
 def render_percent(fraction: float) -> str:
@@ -105,10 +100,6 @@ def export_site(registry: Registry, tree: treemod.DomainTree, dest: str | Path) 
             }
         )
 
-    for card in skills_index:
-        if treemod.parse_path(card["leaf"]) not in tree.nodes:
-            raise ExportError(f"skill card {card['id']} references a leaf missing from the taxonomy")
-
     resources_index = [
         {
             "id": r.id,
@@ -138,9 +129,7 @@ def export_site(registry: Registry, tree: treemod.DomainTree, dest: str | Path) 
     return SiteBundle(
         root=dest,
         stats=stats,
-        taxonomy=taxonomy,
         skills_index=skills_index,
-        resources_index=resources_index,
     )
 
 

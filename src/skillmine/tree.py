@@ -23,7 +23,6 @@ from .errors import (
 NodePath = tuple[str, ...]
 
 KINDS = ("root", "domain", "subdomain", "leaf")
-COVERAGE_FLAGS = ("uncovered", "partial", "covered")
 NODE_STATUSES = ("active", "merged", "pruned", "review")
 
 # Bounded verification history per node.
@@ -32,8 +31,6 @@ VERIFICATION_HISTORY_LIMIT = 10
 # Priority formula constants: failure window and staleness horizon, in cycles.
 FAILURE_WINDOW = 3
 STALE_AFTER = 5
-
-REASON_CODES = ("resources_no_skills", "starter_only", "repeated_failures", "stale")
 
 INDENT = "  "
 LEAF_MARKER = " *"
@@ -59,10 +56,6 @@ class TreeNode:
     status: str = "active"
     merged_into: NodePath | None = None
 
-    @property
-    def label(self) -> str:
-        return self.path[-1] if self.path else ""
-
 
 @dataclass(frozen=True)
 class BranchPriority:
@@ -74,13 +67,6 @@ class BranchPriority:
 @dataclass(frozen=True)
 class DomainTree:
     nodes: Mapping[NodePath, TreeNode] = field(default_factory=dict)
-
-    @property
-    def root(self) -> NodePath:
-        for path in self.nodes:
-            if len(path) == 1:
-                return path
-        raise MissingNodeError("tree has no root node")
 
     def node(self, path: NodePath) -> TreeNode:
         try:

@@ -27,6 +27,7 @@ from .errors import (
 from .gateway import validate_response
 from .harness import load_benchmark_cases, validation_pool
 from .pipeline import Pipeline, leaf_key, leaf_slug_path
+from .registry import Registry
 from .util import (
     NOT_WRITTEN,
     Record,
@@ -75,7 +76,6 @@ def state_digest(root: str | Path) -> str:
 class Workspace:
     leaf_path: treemod.NodePath
     isolated_root: Path
-    base_snapshot_digest: str
     status: str = "open"  # open | collected | discarded
 
     def marker_path(self) -> Path:
@@ -86,7 +86,6 @@ class Workspace:
 class ArtifactSet:
     leaf_path: treemod.NodePath
     files: list[tuple[str, str]]  # (relative path, content digest)
-    stage_response: dict
     declared_shared_followups: list[dict] = field(default_factory=list)
     source_root: Path | None = None
 
@@ -96,7 +95,6 @@ class MergeResult:
     applied: list[str] = field(default_factory=list)  # leaf paths merged
     excluded: list[tuple[str, str]] = field(default_factory=list)  # (leaf, reason)
     followups: list[dict] = field(default_factory=list)
-    files_written: list[str] = field(default_factory=list)
 
 
 def _workspace_manifest(root: Path) -> dict[str, str]:
@@ -141,9 +139,7 @@ def spawn_workspace(root: str | Path, tree: treemod.DomainTree, leaf_path: treem
 
     manifest = _workspace_manifest(isolated)
     digest = sha256_hex(dump_json_doc(manifest).encode("utf-8"))
-    workspace = Workspace(
-        leaf_path=leaf_path, isolated_root=isolated, base_snapshot_digest=digest
-    )
+    workspace = Workspace(leaf_path=leaf_path, isolated_root=isolated)
     atomic_write_text(
         workspace.marker_path(),
         dump_json_doc(
@@ -206,7 +202,6 @@ def collect_leaf_artifacts(workspace: Workspace) -> ArtifactSet:
     artifact_set = ArtifactSet(
         leaf_path=workspace.leaf_path,
         files=[(rel, current[rel]) for rel in changed],
-        stage_response=response_fields,
         declared_shared_followups=followups,
         source_root=workspace.isolated_root,
     )
@@ -217,9 +212,10 @@ def collect_leaf_artifacts(workspace: Workspace) -> ArtifactSet:
 def merge_worker_outputs(
     root: str | Path,
     artifact_sets: Sequence[ArtifactSet],
-    registry=None,
+    registry: Registry,
 ) -> MergeResult:
-    """Apply conflict-free sets in ascending leaf order; exclude the rest."""
+    """Apply conflict-free sets in ascending leaf order, under the registry's
+    writer lock; exclude the rest."""
     root = Path(root)
     result = MergeResult()
 
@@ -248,22 +244,15 @@ def merge_worker_outputs(
             seen_paths[rel] = treemod.format_path(artifact_set.leaf_path)
 
     ordered = sorted(clean, key=lambda s: treemod.format_path(s.leaf_path))
-    lock = registry.lock if registry is not None else None
-    if lock is not None:
-        lock.acquire()
-    try:
+    with registry.lock:
         for artifact_set in ordered:
             if artifact_set.source_root is None:
                 raise WorkerError("artifact set has no source workspace to copy from")
             for rel, _digest in artifact_set.files:
                 payload = (artifact_set.source_root / rel).read_bytes()
                 atomic_write_bytes(root / rel, payload)
-                result.files_written.append(rel)
             result.applied.append(treemod.format_path(artifact_set.leaf_path))
             result.followups.extend(artifact_set.declared_shared_followups)
-    finally:
-        if lock is not None:
-            lock.release()
     return result
 
 
@@ -411,7 +400,9 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
     Each skill's benchmark run, and its optimization when the margin is
     weak, is one task on the validation pool. The benchmark records and the
     statuses the optimizations lead to are committed here in batch order; an
-    error inside an optimization is raised after its benchmark record.
+    error inside an optimization is raised after its benchmark record. When
+    a status changed, the phase ends with the pipeline's ``commit_tree``, as
+    a refresh does.
     """
     from . import contracts as contractsmod
 
@@ -472,7 +463,8 @@ def _evaluation_phase(pipeline: Pipeline, batch_size: int) -> dict:
 
     # An optimization can move a skill from verified to review outside refresh.
     if any(registry.skill(s).status != status for s, status in statuses.items()):
-        registry.compact_index(pipeline.tree)
+        with registry.lock:
+            pipeline.commit_tree(pipeline.tree, "evaluation")
     remaining = [s for s in pipeline.state.pending_skills if s not in batch]
     pipeline.state.pending_skills = tuple(remaining)
     return {"kind": "evaluation", "evaluated": batch, "outcomes": outcomes}

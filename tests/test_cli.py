@@ -221,6 +221,29 @@ def test_test_and_novelty_commands(tmp_path, taxonomy_file, campaign_script, cap
     assert "novel" in out
 
 
+def test_a_bad_benchmark_case_file_fails_the_test_command_in_one_line(
+    tmp_path, taxonomy_file, campaign_script, capsys
+):
+    root = tmp_path / "library"
+    args = base_args(root, campaign_script)
+    run_cli(args + ["init", str(taxonomy_file)], capsys)
+    run_cli(args + ["cycle", "--branch", "science/genomics"], capsys)
+    cases = tmp_path / "cases.json"
+    for document, error in [
+        ({"cases": [{"id": "c1", "fixture_paths": ["../../etc/hostname"]}]}, "HarnessError"),
+        ({"cases": [{"id": "c1", "with_command": "a", "baseline_command": "b",
+                     "score_command": "c", "fixture_paths": ["../../etc/hostname"]}]},
+         "PathEscapeError"),
+    ]:
+        cases.write_text(json.dumps(document))
+        skill = "short-read-alignment-align-short-reads"
+        code, _, err = run_cli(
+            args + ["test", skill, "--layer", "benchmark", "--cases", str(cases)], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"test: {error}: ") and err.count("\n") == 1
+
+
 def test_test_command_leaves_the_committed_library_as_it_was(
     tmp_path, taxonomy_file, campaign_script, capsys
 ):

@@ -174,11 +174,10 @@ def test_lint_flags_scope_divergence(tmp_path):
     assert any("divergence" in f and "task_scope" in f for f in findings)
 
 
-def test_lint_flags_missing_listed_file(tmp_path):
+def test_lint_flags_missing_document(tmp_path):
     package = make_passing_package(tmp_path)
-    (package.root_path / "tests" / "smoke.py").unlink()
-    findings = lint_package(package)  # the package value still lists the file
-    assert any(f.startswith("missing-file") and "smoke.py" in f for f in findings)
+    (package.root_path / "PROVENANCE.md").unlink()
+    assert lint_package(package) == ["missing-file: PROVENANCE.md"]
 
 
 def test_lint_flags_non_executable_script(tmp_path):

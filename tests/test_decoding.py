@@ -66,12 +66,14 @@ SKILL_LINES = lines_of(
         ("id", "name", "leaf_path", "status"),
     )
 )
+# Now and then a text field holds another JSON value.
+TEXTS = st.one_of(STRINGS, STRINGS, STRINGS, VALUES)
 CATALOG_LINES = lines_of(
     dropping(
         st.fixed_dictionaries(
-            {"entry_ref": STRINGS, "task_description": STRINGS},
+            {"entry_ref": TEXTS, "task_description": TEXTS},
             optional={
-                "scope_summary": STRINGS,
+                "scope_summary": TEXTS,
                 "topic_path": STRINGS,
                 "provenance": st.lists(STRINGS, max_size=2),
                 "note": VALUES,
@@ -139,6 +141,9 @@ def test_a_skill_log_decodes_as_json_loads_decodes_each_line(lines):
 @example(lines=SPLIT_AND_MERGED)
 @example(lines=['{"entry_ref":"hub/1","task_description":"a\u2028b\u0085c"}', "null"])
 @example(lines=['\r{"entry_ref": "a", "task_description": "t"}', "null"])
+@example(lines=['{"entry_ref": "a", "task_description": "t", "provenance": 5}'])
+@example(lines=['{"entry_ref": "a", "task_description": "t", "scope_summary": 5}'])
+@example(lines=['{"entry_ref": 5, "task_description": "t"}'])
 def test_a_catalog_decodes_as_json_loads_decodes_each_line(lines):
     text = "".join(line + "\n" for line in lines)
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,16 +155,11 @@ def test_a_catalog_decodes_as_json_loads_decodes_each_line(lines):
             if "entry_ref" not in record or "task_description" not in record:
                 error = (line_no, "entry_ref and task_description are required")
                 break
-            expected.append(
-                novelty.CatalogEntry(
-                    "hub",
-                    record["entry_ref"],
-                    record["task_description"],
-                    record.get("scope_summary", ""),
-                    record.get("topic_path", ""),
-                    tuple(record.get("provenance", [])),
-                )
-            )
+            texts = (record["entry_ref"], record["task_description"], record.get("scope_summary", ""))
+            if not all(isinstance(text, str) for text in texts):
+                error = (line_no, "entry_ref, task_description and scope_summary must be strings")
+                break
+            expected.append(novelty.CatalogEntry("hub", *texts))
         if error is not None:
             try:
                 novelty.load_catalog_snapshot(path)
@@ -173,7 +173,7 @@ def test_a_catalog_decodes_as_json_loads_decodes_each_line(lines):
 
 def test_a_catalog_line_ends_at_a_newline_only(tmp_path):
     path = tmp_path / "hub.ndjson"
-    entry = novelty.CatalogEntry("hub", "a", "t", "", "", ())
+    entry = novelty.CatalogEntry("hub", "a", "t")
 
     # A "\r" between JSON tokens is whitespace, not the end of a line.
     path.write_bytes(b'{"entry_ref": "a",\r "task_description": "t"}\n')

@@ -13,6 +13,7 @@ from skillmine.errors import (
     HarnessError,
     NonNumericScoreError,
     NotApplicableError,
+    PathEscapeError,
 )
 from skillmine.gateway import Gateway, MockProvider
 from skillmine.harness import (
@@ -584,6 +585,37 @@ def test_load_benchmark_cases_inline_and_path_fixtures(tmp_path):
     assert len(cases) == 1
     assert cases[0].fixtures["inline.txt"] == "inline\n"
     assert cases[0].fixtures["extra.txt"] == "fixture data\n"
+
+
+GOOD_CASE = {
+    "id": "c1",
+    "with_command": "python3 run.py",
+    "baseline_command": "python3 base.py",
+    "score_command": "python3 score.py",
+}
+
+
+@pytest.mark.parametrize(
+    "document, error, message",
+    [
+        ({"cases": [{**GOOD_CASE, "fixture_paths": ["../../outside.txt"]}]},
+         PathEscapeError, "path escapes its root: ../../outside.txt"),
+        ([GOOD_CASE], HarnessError, "expected an object whose cases are objects"),
+        ({"cases": [{k: v for k, v in GOOD_CASE.items() if k != "with_command"}]},
+         HarnessError, "case 1 needs id, with_command"),
+        ({"cases": [{**GOOD_CASE, "fixture_paths": ["absent.txt"]}]},
+         HarnessError, "case 1: fixture absent.txt: "),
+    ],
+    ids=["escaping-fixture", "not-an-object", "missing-with-command", "unreadable-fixture"],
+)
+def test_a_bad_benchmark_case_file_is_refused(tmp_path, document, error, message):
+    (tmp_path / "outside.txt").write_text("not the package's\n")
+    case_file = tmp_path / "pkg" / "tests" / "benchmark.json"
+    case_file.parent.mkdir(parents=True)
+    case_file.write_text(json.dumps(document))
+    with pytest.raises(error) as excinfo:
+        load_benchmark_cases(case_file)
+    assert message in str(excinfo.value)
 
 
 # -- report layouts ------------------------------------------------------------------

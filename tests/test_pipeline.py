@@ -248,6 +248,175 @@ def test_proposed_prune_deprecates_linked_skills_before_commit(tmp_path, campaig
     assert engine.registry.integrity_check(engine.tree) == []
 
 
+VARIANT_LEAF = "science/genomics/alignment/variant-calling"
+
+
+def script_with_follow_up_edits(tmp_path, campaign_script, edits):
+    """The campaign script plus a cycle focused on an empty branch whose
+    tree_check proposes ``edits``."""
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    write_mock(
+        script,
+        "tree_check",
+        "science-edits",
+        1,
+        {"focus_leaves": [], "rationale": "reshape", "proposed_edits": edits},
+    )
+    write_mock(script, "resource_search", "science-edits", 1, {"resources": []})
+    return script
+
+
+def test_proposed_split_and_merge_relocate_linked_skills(tmp_path, campaign_script):
+    script = script_with_follow_up_edits(
+        tmp_path,
+        campaign_script,
+        [
+            {"op": "split", "path": ANNOTATE_LEAF,
+             "partitions": [{"label": "single-cell", "skill_ids": [ANNOTATE_ID]}]},
+            {"op": "merge", "path_a": ALIGN_LEAF, "path_b": VARIANT_LEAF, "survivor": VARIANT_LEAF},
+        ],
+    )
+    engine = make_engine(tmp_path / "library", script)
+    engine.run_cycle(focus_branch=GENOMICS)
+
+    report = engine.run_cycle(focus_branch="science/edits")
+    assert report.tree_edits == [
+        f"split {ANNOTATE_LEAF} into 1 leaves",
+        f"merge {ALIGN_LEAF} + {VARIANT_LEAF} -> {VARIANT_LEAF}",
+    ]
+    assert engine.registry.skill(ANNOTATE_ID).leaf_path == f"{ANNOTATE_LEAF}/single-cell"
+    assert engine.registry.skill(ALIGN_ID).leaf_path == VARIANT_LEAF
+    assert ALIGN_ID in engine.tree.node(treemod.parse_path(VARIANT_LEAF)).linked_skills
+    assert engine.tree.node(treemod.parse_path(ALIGN_LEAF)).status == "merged"
+    assert engine.registry.integrity_check(engine.tree) == []
+
+
+def test_an_invalid_edit_and_an_unknown_op_are_each_skipped_with_a_note(
+    tmp_path, campaign_script
+):
+    script = script_with_follow_up_edits(
+        tmp_path,
+        campaign_script,
+        [
+            {"op": "split", "path": ALIGN_LEAF},  # no partitions
+            {"op": "rotate", "path": ALIGN_LEAF},
+            {"op": "insert", "parent": "science/genomics/annotation", "label": "doublets"},
+        ],
+    )
+    engine = make_engine(tmp_path / "library", script)
+    engine.run_cycle(focus_branch=GENOMICS)
+
+    report = engine.run_cycle(focus_branch="science/edits")
+    assert report.tree_edits == ["insert science/genomics/annotation/doublets"]
+    assert report.notes == [
+        "proposed edit skipped: 'partitions'",
+        "proposed edit skipped: unknown op 'rotate'",
+    ]
+    assert engine.tree.node(treemod.parse_path(ALIGN_LEAF)).kind == "leaf"
+
+
+def script_with_align_candidate(tmp_path, campaign_script, **changes):
+    """The campaign script with the align candidate's fields replaced."""
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    document = json.loads((script / ALIGN_BUILD).read_text())
+    document["candidates"][0].update(changes)
+    (script / ALIGN_BUILD).write_text(json.dumps(document))
+    return script
+
+
+NOISE = "import os\n\nprint(os.urandom(8).hex())\n"
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        ({"outputs": [{"name": "out/counts.txt"}, {"name": "out/never.txt"}]},
+         "missing outputs: out/never.txt"),
+        ({"inputs": [{"name": "reads_file", "kind": "file"}, {"name": "label"}],
+          "execution_steps": ["Run scripts/align.py on {reads_file}, tagged {label}"]},
+         "coverage gaps: label"),
+        ({"example_invocations": ["python3 scripts/noise.py {reads_file}"], "outputs": [],
+          "artifacts": {"scripts/noise.py": NOISE, "tests/smoke.py": "print('ok')\n"}},
+         "synthetic instability"),
+        ({"example_invocations": ["no-such-command {reads_file}"]},
+         "synthetic error: command not found: no-such-command"),
+    ],
+    ids=["missing-output", "coverage-gap", "unstable", "error"],
+)
+def test_a_candidate_whose_synthetic_run_is_not_clean_ends_in_review(
+    tmp_path, campaign_script, changes, reason
+):
+    script = script_with_align_candidate(tmp_path, campaign_script, **changes)
+    engine = make_engine(tmp_path / "library", script)
+    report = engine.run_cycle(focus_branch=GENOMICS)
+
+    assert engine.registry.skill(ALIGN_ID).status == "review"
+    assert report.skills_verified == [ANNOTATE_ID]
+    assert f"review: {ALIGN_ID}: {reason}" in report.notes
+    node = engine.tree.node(treemod.parse_path(ALIGN_LEAF))
+    assert ALIGN_ID in node.linked_skills
+    assert (ALIGN_ID, "fail", 1) in node.recent_verifications
+    assert engine.registry.integrity_check(engine.tree) == []
+
+
+@pytest.mark.parametrize("ntasks, outcome", [(1, "pass"), (10_000, "fail")])
+def test_a_scheduler_candidate_has_its_system_record_committed(
+    tmp_path, campaign_script, ntasks, outcome
+):
+    assumptions = ["python3 on PATH", f"scheduler: slurm ntasks={ntasks}"]
+    script = script_with_align_candidate(
+        tmp_path, campaign_script, environment_assumptions=assumptions
+    )
+    engine = make_engine(tmp_path / "library", script)
+    report = engine.run_cycle(focus_branch=GENOMICS)
+
+    [system] = engine.registry.verifications(ALIGN_ID, "system")
+    assert (system.attempt, system.outcome) == (1, outcome)
+    assert (engine.root / system.report_locator).is_file()
+    assert engine.registry.verifications(ANNOTATE_ID, "system") == []
+    if outcome == "pass":
+        assert report.skills_verified == sorted([ALIGN_ID, ANNOTATE_ID])
+    else:
+        assert engine.registry.skill(ALIGN_ID).status == "review"
+        assert f"review: {ALIGN_ID}: system test failure" in report.notes
+
+
+@pytest.mark.parametrize(
+    "response, decision, status",
+    [
+        ({"decision": "review"}, "review", "review"),
+        ({"decision": "deprioritize"}, "deprioritize", "verified"),
+        ({"decision": "novel", "uncertain": True}, "review", "review"),
+    ],
+)
+def test_a_provider_novelty_response_only_downgrades(
+    tmp_path, campaign_script, response, decision, status
+):
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    for skill_id in (ALIGN_ID, ANNOTATE_ID):
+        fields = {"matches": [], "decision": "novel", "rationale": "r"}
+        if skill_id == ALIGN_ID:
+            fields.update(response)
+        write_mock(script, "novelty_check", skill_id, 1, fields)
+    engine = make_engine(tmp_path / "library", script, novelty_provider=True)
+    report = engine.run_cycle(focus_branch=GENOMICS)
+
+    align = engine.registry.skill(ALIGN_ID)
+    assert (align.novelty_decision, align.status) == (decision, status)
+    node = engine.tree.node(treemod.parse_path(ALIGN_LEAF))
+    assert node.status == "review"
+    # Only a deprioritized skill is linked to its leaf; one sent to review is not.
+    assert (ALIGN_ID in node.linked_skills) == (decision == "deprioritize")
+    annotate = engine.registry.skill(ANNOTATE_ID)
+    assert (annotate.novelty_decision, annotate.status) == ("novel", "verified")
+    verified = [ALIGN_ID, ANNOTATE_ID] if status == "verified" else [ANNOTATE_ID]
+    assert report.skills_verified == sorted(verified)
+    assert engine.registry.integrity_check(engine.tree) == []
+
+
 def test_failing_candidates_still_reach_refresh(tmp_path, campaign_script):
     script = tmp_path / "script"
     script.mkdir()
@@ -471,6 +640,46 @@ def test_a_malformed_candidate_costs_only_itself(
     assert error in note
     leaf_dir = (engine.root / engine.registry.skill(ALIGN_ID).package_path).parent
     # No orphan package directory and no escaped file beside the good package.
+    assert sorted(p.name for p in leaf_dir.iterdir()) == [ALIGN_ID]
+
+
+@pytest.mark.parametrize("refusal", ["lint", "round-trip guard"])
+def test_a_candidate_refused_after_compiling_leaves_no_package(
+    tmp_path, campaign_script, monkeypatch, refusal
+):
+    from skillmine import contracts as contractsmod
+
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    document = json.loads((script / ALIGN_BUILD).read_text())
+    good = document["candidates"][0]
+    # SKILL.md cannot list an input named with a backtick, so lint finds a divergence.
+    inputs = good["inputs"] + [{"name": "a`b", "required": False}]
+    document["candidates"].append({**good, "name": "refused", "inputs": inputs})
+    (script / ALIGN_BUILD).write_text(json.dumps(document))
+    if refusal == "round-trip guard":
+        original = contractsmod.load_contract
+
+        def load_contract(path):
+            contract = original(path)
+            if any(item.name == "a`b" for item in contract.inputs):
+                return SkillContract(task_scope="something else")
+            return contract
+
+        monkeypatch.setattr(contractsmod, "load_contract", load_contract)
+    engine = make_engine(tmp_path / "library", script)
+    report = engine.run_cycle(focus_branch=GENOMICS)
+
+    assert report.skills_created == sorted([ALIGN_ID, ANNOTATE_ID])
+    [note] = [n for n in report.notes if "refused" in n]
+    if refusal == "lint":
+        assert note == (
+            "lint-findings: short-read-alignment-refused: "
+            "divergence: inputs differ between SKILL.md and skill.json"
+        )
+    else:
+        assert note.startswith("contract-violations: refused: spec/metadata divergence")
+    leaf_dir = (engine.root / engine.registry.skill(ALIGN_ID).package_path).parent
     assert sorted(p.name for p in leaf_dir.iterdir()) == [ALIGN_ID]
 
 

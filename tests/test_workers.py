@@ -15,6 +15,7 @@ from skillmine.errors import (
     DigestMismatchError,
     DuplicateWorkspaceError,
     MergeCollisionError,
+    RefreshAbortedError,
     SharedFileWriteError,
     WorkerError,
 )
@@ -192,7 +193,6 @@ def test_merge_excludes_conflicted_set_but_applies_clean_ones(engine):
     poisoned = ArtifactSet(
         leaf_path=p(LEAVES[2]),
         files=[("skills.ndjson", "deadbeef")],
-        stage_response={},
         source_root=engine.root,
     )
     result = merge_worker_outputs(engine.root, sets + [poisoned], registry=engine.registry)
@@ -243,7 +243,7 @@ def _scripted_set(root, leaf_text, rel, content):
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(content)
     return ArtifactSet(
-        leaf_path=p(leaf_text), files=[(rel, "digest")], stage_response={}, source_root=root
+        leaf_path=p(leaf_text), files=[(rel, "digest")], source_root=root
     )
 
 
@@ -364,6 +364,37 @@ def test_evaluation_that_demotes_a_skill_recompacts_the_stats(tmp_path, campaign
     assert report.evaluation_phases[0]["outcomes"]["short-read-alignment-align-short-reads"] == "review"
     stats = json.loads((engine.root / "index" / "stats.json").read_text())
     assert stats == engine.registry.snapshot_stats(engine.tree).to_record()
+
+
+def test_an_evaluation_that_demotes_a_skill_commits_through_the_integrity_gate(
+    tmp_path, campaign_script, monkeypatch
+):
+    from skillmine.registry import Registry
+    from skillmine.site import export_site
+    from skillmine.workers import _evaluation_phase
+
+    script = tmp_path / "script"
+    shutil.copytree(campaign_script, script)
+    build = script / "skill_build__science--genomics--alignment--short-read-alignment__1.json"
+    document = json.loads(build.read_text())
+    document["candidates"][0]["artifacts"]["scripts/score.py"] = 'print("0.5")\n'
+    build.write_text(json.dumps(document))
+    write_mock(script, "layer2_optimize", ALIGN_ID, 1, {"actions": [], "rebenchmark": True})
+    marker = Path("site") / ".stale"
+    for gate in ("open", "closed"):
+        engine = make_engine(tmp_path / gate, script)
+        engine.run_cycle(focus_branch=GENOMICS)
+        export_site(engine.registry, engine.tree, engine.root / "site")
+        assert not (engine.root / marker).exists()
+        if gate == "open":
+            record = _evaluation_phase(engine, batch_size=4)
+            assert record["outcomes"][ALIGN_ID] == "review"
+            assert (engine.root / marker).read_text() == "stale\n"
+            continue
+        monkeypatch.setattr(Registry, "integrity_check", lambda self, tree: ["injected"])
+        with pytest.raises(RefreshAbortedError, match="^evaluation aborted by integrity"):
+            _evaluation_phase(engine, batch_size=4)
+        assert not (engine.root / marker).exists()
 
 
 def test_a_raise_inside_an_optimization_leaves_the_benchmark_record(tmp_path, campaign_script):
