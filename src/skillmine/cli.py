@@ -20,7 +20,7 @@ from .config import EngineConfig, load_config
 from .errors import SkillmineError
 from .harness import load_benchmark_cases
 from .pipeline import Pipeline
-from .registry import open_registry
+from .registry import TREE_SNAPSHOT, Registry, open_registry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +82,16 @@ def _engine_config(args) -> EngineConfig:
 
 def _pipeline(args) -> Pipeline:
     return Pipeline(_engine_config(args))
+
+
+def _library(args) -> tuple[Registry, treemod.DomainTree]:
+    """The registry and tree of a library, opened for reading; a root with
+    no tree snapshot is refused before anything is created there."""
+    config = _engine_config(args)
+    if not (Path(config.registry_root) / TREE_SNAPSHOT).exists():
+        raise SkillmineError("registry has no tree snapshot; run init first")
+    registry = open_registry(config.registry_root, lock_wait=config.lock_wait)
+    return registry, registry.load_tree_snapshot()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,11 +188,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "status":
-        config = _engine_config(args)
-        registry = open_registry(config.registry_root, lock_wait=config.lock_wait)
-        tree = registry.load_tree_snapshot()
-        if tree is None:
-            raise SkillmineError("status: registry has no tree snapshot; run init first")
+        registry, tree = _library(args)
         stats = registry.snapshot_stats(tree)
         summary = treemod.coverage_summary(tree)
         print(
@@ -198,11 +204,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "export-site":
-        config = _engine_config(args)
-        registry = open_registry(config.registry_root, lock_wait=config.lock_wait)
-        tree = registry.load_tree_snapshot()
-        if tree is None:
-            raise SkillmineError("export-site: registry has no tree snapshot")
+        registry, tree = _library(args)
         bundle = sitemod.export_site(registry, tree, args.dest)
         print(f"exported {len(bundle.skills_index)} skill cards to {bundle.root}")
         return 0

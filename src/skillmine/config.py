@@ -7,6 +7,7 @@ single JSON object; the JSON form is detected by a leading ``{``.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -51,40 +52,22 @@ class EngineConfig:
         return self
 
 
-_INT_KEYS = {
-    "search_budget",
-    "candidate_cap",
-    "repair_attempts",
-    "optimize_attempts",
-    "focus_k",
-    "failure_halt_limit",
-    "eval_batch_size",
-    "novelty_match_limit",
-}
-_FLOAT_KEYS = {"smoke_timeout", "advantage_threshold"}
-_BOOL_KEYS = {"novelty_provider", "deterministic_clock", "keep_sandboxes"}
-_PATH_KEYS = {"registry_root", "script_dir"}
-
-
 def _coerce(key: str, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
+    """``value`` as the type that ``EngineConfig`` declares for ``key``."""
+    kind = typing.get_type_hints(EngineConfig)[key]
+    if kind is bool:
         if isinstance(value, bool):
             return value
         return str(value).strip().lower() in ("1", "true", "yes", "on")
-    if key in _PATH_KEYS:
+    if kind in (int, float):
+        return kind(value)
+    if kind in (Path, Path | None):
         return Path(value) if value not in (None, "") else None
-    if key == "catalogs":
+    if typing.get_origin(kind) is tuple:
         if isinstance(value, str):
             value = [v.strip() for v in value.split(",") if v.strip()]
-        return tuple(Path(v) for v in value)
-    if key == "efforts":
-        if isinstance(value, str):
-            value = [v.strip() for v in value.split(",") if v.strip()]
-        return tuple(value)
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in value)
     return value
 
 

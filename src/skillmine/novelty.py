@@ -22,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from . import tree as treemod
 from .contracts import SkillContract, parse_contract
 from .errors import CatalogReadError, EmptyKeywordsError
-from .registry import Registry, SkillEntry
+from .registry import Registry, ResourceEntry, SkillEntry
 from .util import json_objects
 
 SAME_TASK_JACCARD = 0.6
@@ -62,8 +62,6 @@ class CatalogEntry(NamedTuple):
 class CatalogMatch:
     catalog_id: str
     entry_ref: str
-    entry_task_description: str
-    entry_scope_summary: str
     overlap: str
     score: float = 0.0
 
@@ -337,14 +335,7 @@ def search_catalogs(
             if overlap == "none":
                 continue
             matches.append(
-                CatalogMatch(
-                    catalog_id=entry.catalog_id or catalog_id,
-                    entry_ref=entry.entry_ref,
-                    entry_task_description=entry.task_description,
-                    entry_scope_summary=entry.scope_summary,
-                    overlap=overlap,
-                    score=score,
-                )
+                CatalogMatch(entry.catalog_id or catalog_id, entry.entry_ref, overlap, score)
             )
     matches.sort(key=lambda m: (-m.score, m.catalog_id, m.entry_ref))
     return matches[:limit]
@@ -419,73 +410,51 @@ def apply_verdict(
     """Write a verdict back to the tree and registry; returns the new tree.
 
     The registry is mutated in place (it is the durable side); the tree is a
-    fresh snapshot for the caller to commit.
+    fresh snapshot for the caller to commit. A ``redundant`` verdict, and a
+    ``merge`` into a local survivor, remove the skill. Every other verdict
+    promotes a pending skill and links it to its leaf; ``novel`` and
+    ``merge`` then record a pass there, while ``review`` and ``deprioritize``
+    (the zero-priority stale marker) set the leaf's status to review.
     """
+    if verdict.decision not in ("novel", "redundant", "merge", "review", "deprioritize"):
+        raise ValueError(f"unknown novelty decision: {verdict.decision}")
     entry = registry.skill(verdict.skill_id)
-    leaf_path = treemod.parse_path(entry.leaf_path)
     registry.set_novelty_decision(verdict.skill_id, verdict.decision, cycle)
 
-    if verdict.decision == "novel":
-        promote_if_pending(registry, verdict.skill_id, cycle)
-        tree, target = _ensure_leaf(tree, leaf_path)
-        tree = treemod.link_skill(tree, target, verdict.skill_id)
-        tree = treemod.record_verification(tree, target, verdict.skill_id, "pass", cycle)
-        return tree
-
-    if verdict.decision == "redundant":
-        registry.transition_skill(verdict.skill_id, "removed", cycle)
+    survivor = _local_survivor(registry, verdict) if verdict.decision == "merge" else None
+    if survivor is not None:
+        merged = sorted(set(survivor.provenance) | set(entry.provenance))
+        registry.upsert_skill(replace(survivor, provenance=merged, updated_cycle=cycle))
+    if survivor is not None or verdict.decision == "redundant":
+        merged_into = survivor.id if survivor is not None else None
+        registry.transition_skill(verdict.skill_id, "removed", cycle, merged_into=merged_into)
         return tree
 
     if verdict.decision == "merge":
-        survivor = _local_survivor(registry, verdict)
-        if survivor is not None:
-            merged = sorted(set(survivor.provenance) | set(entry.provenance))
-            registry.upsert_skill(replace(survivor, provenance=merged, updated_cycle=cycle))
-            registry.transition_skill(
-                verdict.skill_id, "removed", cycle, merged_into=survivor.id
+        # External complement: the candidate survives and absorbs the
+        # external reference into its provenance as a workflow resource.
+        receipt = registry.record_resource(
+            ResourceEntry(
+                id="",
+                kind="workflow",
+                locator=verdict.supporting_matches[0].entry_ref,
+                leaf_paths=[entry.leaf_path],
+                retrieved_cycle=cycle,
+                authority_rank=1,
             )
-        else:
-            # External complement: the candidate survives and absorbs the
-            # external reference into its provenance as a workflow resource.
-            from .registry import ResourceEntry
+        )
+        refreshed = registry.skill(verdict.skill_id)
+        provenance = sorted(set(refreshed.provenance) | {receipt.id})
+        registry.upsert_skill(replace(refreshed, provenance=provenance, updated_cycle=cycle))
 
-            best = verdict.supporting_matches[0]
-            receipt = registry.record_resource(
-                ResourceEntry(
-                    id="",
-                    kind="workflow",
-                    locator=best.entry_ref,
-                    leaf_paths=[entry.leaf_path],
-                    retrieved_cycle=cycle,
-                    authority_rank=1,
-                )
-            )
-            refreshed = registry.skill(verdict.skill_id)
-            provenance = sorted(set(refreshed.provenance) | {receipt.id})
-            registry.upsert_skill(replace(refreshed, provenance=provenance, updated_cycle=cycle))
-            promote_if_pending(registry, verdict.skill_id, cycle)
-            tree, target = _ensure_leaf(tree, leaf_path)
-            tree = treemod.link_skill(tree, target, verdict.skill_id)
-            tree = treemod.record_verification(tree, target, verdict.skill_id, "pass", cycle)
-        return tree
-
-    if verdict.decision == "review":
-        promote_if_pending(registry, verdict.skill_id, cycle)
-        if registry.skill(verdict.skill_id).status == "verified":
-            registry.transition_skill(verdict.skill_id, "review", cycle)
-        if leaf_path in tree.nodes:
-            tree = treemod.set_node_status(tree, leaf_path, "review")
-        return tree
-
-    if verdict.decision == "deprioritize":
-        promote_if_pending(registry, verdict.skill_id, cycle)
-        tree, target = _ensure_leaf(tree, leaf_path)
-        tree = treemod.link_skill(tree, target, verdict.skill_id)
-        # The stale marker is the zero-priority review status on the leaf.
-        tree = treemod.set_node_status(tree, target, "review")
-        return tree
-
-    raise ValueError(f"unknown novelty decision: {verdict.decision}")
+    promote_if_pending(registry, verdict.skill_id, cycle)
+    tree, target = _ensure_leaf(tree, treemod.parse_path(entry.leaf_path))
+    tree = treemod.link_skill(tree, target, verdict.skill_id)
+    if verdict.decision in ("novel", "merge"):
+        return treemod.record_verification(tree, target, verdict.skill_id, "pass", cycle)
+    if verdict.decision == "review" and registry.skill(verdict.skill_id).status == "verified":
+        registry.transition_skill(verdict.skill_id, "review", cycle)
+    return treemod.set_node_status(tree, target, "review")
 
 
 def _local_survivor(registry: Registry, verdict: NoveltyVerdict):

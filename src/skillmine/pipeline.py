@@ -48,6 +48,8 @@ from .harness import (
     validation_pool,
 )
 from .registry import (
+    RECORD_LOGS,
+    TREE_SNAPSHOT,
     Registry,
     ResourceEntry,
     SkillEntry,
@@ -150,6 +152,8 @@ class _CycleScratch:
     removed: list[tuple[str, str]] = field(default_factory=list)  # (leaf, skill id)
     untestable: list[str] = field(default_factory=list)
     proposed_edits: list[dict] = field(default_factory=list)
+    verdicts: dict[str, str] = field(default_factory=dict)  # skill id -> decision
+    tree_edits: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
 
@@ -163,13 +167,12 @@ class Pipeline:
     ):
         self.config = config.validate()
         self.root = Path(config.registry_root)
-        self.registry = registry or open_registry(self.root, lock_wait=config.lock_wait)
-        loaded = tree or self.registry.load_tree_snapshot()
-        if loaded is None:
+        if tree is None and not (self.root / TREE_SNAPSHOT).exists():
             raise PipelineError(
                 f"no tree snapshot at {self.root}; initialize the registry from a taxonomy first"
             )
-        self.tree = loaded
+        self.registry = registry or open_registry(self.root, lock_wait=config.lock_wait)
+        self.tree = tree or self.registry.load_tree_snapshot()
         if gateway is None:
             if config.provider == "mock":
                 provider = MockProvider(config.script_dir)
@@ -187,23 +190,30 @@ class Pipeline:
         self.state = PipelineState()
         self._scratch = _CycleScratch()
         self._external_catalogs: dict[str, list[noveltymod.CatalogEntry]] | None = None
-        # Novelty inputs kept for the life of the pipeline: whether it has
-        # reviewed, the external catalogs' index, the local skills' texts
-        # keyed on their skill.json files, and the local index.
-        self._reviewed = False
+        # Novelty inputs kept for the life of the pipeline: the external
+        # catalogs' index, the local skills' texts keyed on their skill.json
+        # files, and the local index.
         self._external_index: dict[str, noveltymod.CatalogIndex] | None = None
         self._local_texts: dict[str, noveltymod.LocalText] = {}
         self._local: noveltymod.CatalogIndex | None = None
-        self._last_verdicts: dict[str, str] = {}
-        self._last_tree_edits: list[str] = []
 
     # -- construction ------------------------------------------------------------
 
     @classmethod
     def initialize(cls, config: EngineConfig, taxonomy_document: str, **kwargs) -> "Pipeline":
-        """Fresh registry from a taxonomy document."""
-        registry = open_registry(config.registry_root, lock_wait=config.lock_wait)
+        """Fresh registry from a taxonomy document.
+
+        The config and the taxonomy are checked, and a root that already holds
+        a tree snapshot or a record is refused, before anything is written.
+        """
+        config.validate()
         tree = treemod.load_tree(taxonomy_document)
+        root = Path(config.registry_root)
+        if (root / TREE_SNAPSHOT).exists() or any(
+            (root / name).is_file() and (root / name).stat().st_size for name in RECORD_LOGS
+        ):
+            raise PipelineError(f"{root} already holds a library; init needs a fresh root")
+        registry = open_registry(root, lock_wait=config.lock_wait)
         registry.save_tree(tree)
         registry.compact_index(tree)
         return cls(config, registry=registry, tree=tree, **kwargs)
@@ -263,14 +273,7 @@ class Pipeline:
                 f"stage {stage} requested but the next stage in order is {expected}"
             )
         started = self._now()
-        runner = {
-            "tree_check": self._stage_tree_check,
-            "resource_search": self._stage_resource_search,
-            "skill_build": self._stage_skill_build,
-            "skill_test": self._stage_skill_test,
-            "refresh": self._stage_refresh,
-        }[stage]
-        digest, summary = runner(focus_branch)
+        digest, summary = getattr(self, f"_stage_{stage}")(focus_branch)
         outcome = StageOutcome(
             stage=stage,
             digest=digest,
@@ -284,19 +287,9 @@ class Pipeline:
         return slugify(focus_branch) if focus_branch else "default"
 
     def _priority_paths(self, focus_branch: str | None) -> list[str]:
+        under = treemod.parse_path(focus_branch) if focus_branch else ()
         view = self.registry.view(self.state.cycle_index)
-        if focus_branch:
-            prefix = treemod.parse_path(focus_branch)
-            leaves = [
-                n
-                for n in self.tree.active_leaves()
-                if n.path[: len(prefix)] == prefix
-            ]
-            scored = [treemod.score_leaf(n, view) for n in leaves]
-            scored.sort(key=lambda p: (-p.score, treemod.format_path(p.path)))
-            ranked = scored[: self.config.focus_k]
-        else:
-            ranked = treemod.prioritize_branches(self.tree, view, self.config.focus_k)
+        ranked = treemod.prioritize_branches(self.tree, view, self.config.focus_k, under=under)
         return [treemod.format_path(p.path) for p in ranked]
 
     def _stage_tree_check(self, focus_branch: str | None) -> tuple[str, str]:
@@ -538,7 +531,7 @@ class Pipeline:
             for leaf, resource_id in scratch.resources:
                 tree = treemod.link_resource(tree, treemod.parse_path(leaf), resource_id)
 
-            verdicts: dict[str, str] = {}
+            verdicts = scratch.verdicts
             local = self._local_index() if scratch.passed else None
             for skill_id in sorted(scratch.passed):
                 verdict = self.adjudicate(skill_id, local)
@@ -558,7 +551,7 @@ class Pipeline:
                     tree, treemod.parse_path(leaf), skill_id, "fail", cycle
                 )
 
-            tree_edits: list[str] = []
+            tree_edits = scratch.tree_edits
             for edit in scratch.proposed_edits:
                 applied = self._apply_proposed_edit(tree, edit)
                 if applied is not None:
@@ -575,8 +568,6 @@ class Pipeline:
             self.state.pending_skills = tuple(
                 sorted(set(self.state.pending_skills) | set(promoted))
             )
-            self._last_verdicts = verdicts
-            self._last_tree_edits = tree_edits
             digest = sha256_hex(
                 dump_json_doc({"verdicts": verdicts, "edits": tree_edits}).encode("utf-8")
             )
@@ -638,15 +629,18 @@ class Pipeline:
             elif status in ("untested", "repaired"):
                 self.registry.transition_skill(skill_id, "removed", cycle)
 
+    def _local_entries(self) -> list[noveltymod.CatalogEntry]:
+        return noveltymod.local_catalog_entries(
+            self.registry, self.root, self._local_texts, self.harness.sandbox_root
+        )
+
     def _local_index(self) -> noveltymod.CatalogIndex:
         """The index over the local library, brought up to date once per commit.
 
         It is kept across commits: a commit that changed only scopes or
         added skills updates it in place, and any other change rebuilds it.
         """
-        entries = noveltymod.local_catalog_entries(
-            self.registry, self.root, self._local_texts, self.harness.sandbox_root
-        )
+        entries = self._local_entries()
         if self._local is None or not self._local.update(entries):
             self._local = noveltymod.CatalogIndex(entries)
         return self._local
@@ -657,11 +651,13 @@ class Pipeline:
         """Review one candidate against ``local``, else against a fresh read.
 
         A commit (refresh, a design) passes ``local``, its index of the local
-        library; it may predate verdicts of the same commit, so the search
-        skips the candidate itself and every skill that a verdict has since
-        removed. A review without it stands alone, as a CLI ``novelty`` read
-        does: when it is the pipeline's first, it scans the external catalogs
-        instead of indexing them, which costs less for one search.
+        library, and searches it with the external catalogs' index, built at
+        the first commit review and then kept. ``local`` may predate verdicts
+        of the same commit, so the search skips the candidate itself and
+        every skill that a verdict has since removed. A review without it
+        stands alone, as a CLI ``novelty`` read does: it scans the local
+        entries and the external catalogs and builds no index, which costs
+        less for one search.
         """
         entry = self.registry.skill(skill_id)
         package = contractsmod.load_package(self.root / entry.package_path)
@@ -673,19 +669,18 @@ class Pipeline:
         except noveltymod.EmptyKeywordsError:
             scope_keywords = None
 
-        # A commit's review and any later review search the external index,
-        # built once.
-        external = self._external_index
-        if external is None:
-            external = self.external_catalogs()
-            if self._reviewed or local is not None:
-                external = self._external_index = {
-                    catalog_id: noveltymod.CatalogIndex(entries)
-                    for catalog_id, entries in external.items()
-                }
-        self._reviewed = True
         if local is None:
-            local = self._local_index()
+            # The external catalogs first: their load is a read's peak
+            # memory, and the local entries need not be alive during it.
+            external = self.external_catalogs()
+            catalogs = {"local": self._local_entries(), **external}
+        else:
+            if self._external_index is None:
+                self._external_index = {
+                    catalog_id: noveltymod.CatalogIndex(entries)
+                    for catalog_id, entries in self.external_catalogs().items()
+                }
+            catalogs = {"local": local, **self._external_index}
 
         def skip(e: noveltymod.CatalogEntry) -> bool:
             return e.catalog_id == "local" and (
@@ -693,7 +688,7 @@ class Pipeline:
             )
 
         matches = noveltymod.search_catalogs(
-            {"local": local, **external},
+            catalogs,
             keywords,
             limit=self.config.novelty_match_limit,
             candidate_task_text=contract.task_scope,
@@ -760,19 +755,10 @@ class Pipeline:
             raise
 
         report.skills_created = sorted(sid for _leaf, sid in self._scratch.built)
-        report.skills_verified = [
-            s for s in sorted(self._last_verdicts) if self.registry.skill(s).status == "verified"
-        ]
-        report.skills_removed = sorted(
-            [sid for _leaf, sid in self._scratch.removed]
-            + [s for s, d in self._last_verdicts.items() if d in ("redundant",)]
-            + [
-                s
-                for s, d in self._last_verdicts.items()
-                if d == "merge" and self.registry.skill(s).status == "removed"
-            ]
-        )
-        report.tree_edits = list(self._last_tree_edits)
+        status = {s: self.registry.skill(s).status for s in report.skills_created}
+        report.skills_verified = [s for s in report.skills_created if status[s] == "verified"]
+        report.skills_removed = [s for s in report.skills_created if status[s] == "removed"]
+        report.tree_edits = list(self._scratch.tree_edits)
         report.notes = list(self._scratch.notes)
 
         self.state.stage_cursor = None

@@ -76,6 +76,7 @@ _log = logging.getLogger(__name__)
 SKILLS_FILE = "skills.ndjson"
 RESOURCES_FILE = "resources.ndjson"
 VERIFICATIONS_FILE = "verifications.ndjson"
+RECORD_LOGS = (SKILLS_FILE, RESOURCES_FILE, VERIFICATIONS_FILE)
 TREE_SNAPSHOT = "tree.snapshot"
 INDEX_DIR = "index"
 
@@ -233,7 +234,7 @@ class Registry:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / INDEX_DIR).mkdir(exist_ok=True)
-        for name in (SKILLS_FILE, RESOURCES_FILE, VERIFICATIONS_FILE):
+        for name in RECORD_LOGS:
             path = self.root / name
             if not path.exists():
                 path.touch()
@@ -354,7 +355,7 @@ class Registry:
         The key holds the inode, so a same-size replacement by another
         process shows even when it lands in the same mtime tick.
         """
-        for name in (SKILLS_FILE, RESOURCES_FILE, VERIFICATIONS_FILE):
+        for name in RECORD_LOGS:
             try:
                 key = _log_key(os.stat(self.root / name))
             except FileNotFoundError:
@@ -515,22 +516,31 @@ class Registry:
             self._add_resource(entry)
             return Receipt(id=entry.id, created=created, file=RESOURCES_FILE, line=line)
 
+    def _change(self, skill_id: str, cycle: int, **fields) -> SkillEntry:
+        """Commit new ``fields`` of one skill at ``cycle``; returns the entry.
+
+        A change that leaves every field as it is writes nothing. A status
+        change must be a legal transition.
+        """
+        with self.lock:
+            self._resync_if_stale()
+            current = self.skill(skill_id)
+            if all(getattr(current, name) == value for name, value in fields.items()):
+                return current
+            status = fields.get("status", current.status)
+            if status != current.status and status not in LEGAL_TRANSITIONS[current.status]:
+                raise IllegalTransitionError(skill_id, current.status, status)
+            entry = replace(current, updated_cycle=cycle, **fields)
+            self._commit_skill(entry)
+            return entry
+
     def transition_skill(self, skill_id: str, status: str, cycle: int, merged_into: str | None = None) -> SkillEntry:
         """Explicit status transition; rejects anything off the machine."""
         if status not in SKILL_STATUSES:
             raise InvalidStatusError(f"invalid status: {status!r}")
-        with self.lock:
-            self._resync_if_stale()
-            current = self.skill(skill_id)
-            if status == current.status:
-                return current
-            if status not in LEGAL_TRANSITIONS[current.status]:
-                raise IllegalTransitionError(skill_id, current.status, status)
-            entry = replace(current, status=status, updated_cycle=cycle)
-            if merged_into is not None:
-                entry = replace(entry, merged_into=merged_into)
-            self._commit_skill(entry)
-            return entry
+        if merged_into is None:
+            return self._change(skill_id, cycle, status=status)
+        return self._change(skill_id, cycle, status=status, merged_into=merged_into)
 
     def relocate_skill(self, skill_id: str, new_leaf_path: str, cycle: int) -> SkillEntry:
         """Move a skill to another leaf.
@@ -538,22 +548,10 @@ class Registry:
         Only tree write-backs (merge and split commits) relocate skills;
         ordinary upserts treat a changed leaf_path as an id collision.
         """
-        with self.lock:
-            self._resync_if_stale()
-            current = self.skill(skill_id)
-            if current.leaf_path == new_leaf_path:
-                return current
-            entry = replace(current, leaf_path=new_leaf_path, updated_cycle=cycle)
-            self._commit_skill(entry)
-            return entry
+        return self._change(skill_id, cycle, leaf_path=new_leaf_path)
 
     def set_novelty_decision(self, skill_id: str, decision: str, cycle: int) -> SkillEntry:
-        with self.lock:
-            self._resync_if_stale()
-            current = self.skill(skill_id)
-            entry = replace(current, novelty_decision=decision, updated_cycle=cycle)
-            self._commit_skill(entry)
-            return entry
+        return self._change(skill_id, cycle, novelty_decision=decision)
 
     def set_verification(
         self, skill_id: str, record: VerificationRecord, promote: bool = True

@@ -408,11 +408,18 @@ def score_leaf(node: TreeNode, view: RegistryView) -> BranchPriority:
     return BranchPriority(path=node.path, score=score, reasons=tuple(reasons))
 
 
-def prioritize_branches(tree: DomainTree, registry_view: RegistryView, k: int) -> list[BranchPriority]:
-    """Top-k active leaves by descending score, ties broken by path."""
+def prioritize_branches(
+    tree: DomainTree, registry_view: RegistryView, k: int, under: NodePath = ()
+) -> list[BranchPriority]:
+    """Top-k active leaves at or below ``under`` by descending score, ties
+    broken by path."""
     if k < 1:
         raise TreeOperationError("k must be >= 1")
-    scored = [score_leaf(node, registry_view) for node in tree.active_leaves()]
+    scored = [
+        score_leaf(node, registry_view)
+        for node in tree.active_leaves()
+        if node.path[: len(under)] == under
+    ]
     scored.sort(key=lambda p: (-p.score, format_path(p.path)))
     return scored[:k]
 

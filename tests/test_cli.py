@@ -58,6 +58,53 @@ def test_init_parse_error_exits_nonzero_and_names_case(tmp_path, campaign_script
     assert "OrphanParentError" in err
 
 
+def test_a_second_init_is_refused_and_the_tree_links_survive(
+    tmp_path, taxonomy_file, campaign_script, capsys
+):
+    root = tmp_path / "library"
+    args = base_args(root, campaign_script)
+    assert run_cli(args + ["init", str(taxonomy_file)], capsys)[0] == 0
+    assert run_cli(args + ["cycle", "--branch", "science/genomics"], capsys)[0] == 0
+    snapshot = (root / "tree.snapshot").read_bytes()
+
+    code, out, err = run_cli(args + ["init", str(taxonomy_file)], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "already holds a library" in err
+    assert (root / "tree.snapshot").read_bytes() == snapshot
+    code, out, _ = run_cli(args + ["status"], capsys)
+    assert code == 0 and "covered=2" in out
+
+
+@pytest.mark.parametrize("failure", ["no-script", "bad-taxonomy"])
+def test_a_failed_init_leaves_no_file(tmp_path, taxonomy_file, campaign_script, capsys, failure):
+    root = tmp_path / "library"
+    if failure == "no-script":
+        args = ["--registry", str(root), "--provider", "mock", "init", str(taxonomy_file)]
+    else:
+        bad = tmp_path / "bad.txt"
+        bad.write_text("root\n      orphan *\n")
+        args = base_args(root, campaign_script) + ["init", str(bad)]
+    code, _out, err = run_cli(args, capsys)
+    assert code == 1 and len(err.splitlines()) == 1
+    assert not root.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["cycle"], ["status"], ["export-site", "site"], ["novelty", "x"]],
+    ids=["cycle", "status", "export-site", "novelty"],
+)
+def test_a_command_on_a_root_with_no_tree_snapshot_creates_nothing(
+    tmp_path, campaign_script, capsys, command
+):
+    root = tmp_path / "library"
+    if command[0] == "export-site":
+        command = ["export-site", str(tmp_path / "site")]
+    code, _out, err = run_cli(base_args(root, campaign_script) + command, capsys)
+    assert code == 1 and "no tree snapshot" in err
+    assert not root.exists()
+
+
 def test_cycle_and_status_and_export(tmp_path, taxonomy_file, campaign_script, capsys):
     root = tmp_path / "library"
     args = base_args(root, campaign_script)

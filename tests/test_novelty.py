@@ -192,8 +192,6 @@ def scan_search(catalogs, keywords, limit, task_text="", scope_keywords=None, sc
                 novelty.CatalogMatch(
                     catalog_id=item.catalog_id or catalog_id,
                     entry_ref=item.entry_ref,
-                    entry_task_description=item.task_description,
-                    entry_scope_summary=item.scope_summary,
                     overlap=overlap,
                     score=score,
                 )
@@ -326,8 +324,6 @@ def test_same_task_same_scope_is_redundant():
     match = novelty.CatalogMatch(
         catalog_id="hub",
         entry_ref="hub/x",
-        entry_task_description="t",
-        entry_scope_summary="s",
         overlap="same_task_same_scope",
     )
     verdict = novelty.adjudicate(contract("t"), [match], skill_id="s1")
@@ -339,8 +335,6 @@ def test_provider_downgrades_merge_to_review():
     match = novelty.CatalogMatch(
         catalog_id="hub",
         entry_ref="hub/x",
-        entry_task_description="t",
-        entry_scope_summary="s",
         overlap="same_task_diff_scope",
     )
     verdict = novelty.adjudicate(
@@ -356,8 +350,6 @@ def test_provider_cannot_upgrade_redundant():
     match = novelty.CatalogMatch(
         catalog_id="hub",
         entry_ref="hub/x",
-        entry_task_description="t",
-        entry_scope_summary="s",
         overlap="same_task_same_scope",
     )
     verdict = novelty.adjudicate(
@@ -389,8 +381,6 @@ def test_ladder_is_total_and_matches_oracle(overlaps):
         novelty.CatalogMatch(
             catalog_id="hub",
             entry_ref=f"hub/e{i}",
-            entry_task_description="t",
-            entry_scope_summary="s",
             overlap=overlap,
         )
         for i, overlap in enumerate(overlaps)
@@ -695,8 +685,6 @@ def test_apply_merge_unions_provenance_into_local_survivor(setup):
     match = novelty.CatalogMatch(
         catalog_id="local",
         entry_ref="older",
-        entry_task_description="t",
-        entry_scope_summary="s",
         overlap="same_task_diff_scope",
     )
     tree = novelty.apply_verdict(tree, registry, verdict_for("newer", "merge", [match]), cycle=2)
@@ -712,8 +700,6 @@ def test_apply_merge_with_external_match_keeps_candidate(setup):
     match = novelty.CatalogMatch(
         catalog_id="hub",
         entry_ref="https://hub.example.org/twin",
-        entry_task_description="t",
-        entry_scope_summary="s",
         overlap="same_task_diff_scope",
     )
     tree = novelty.apply_verdict(tree, registry, verdict_for("keeper", "merge", [match]), cycle=2)

@@ -50,6 +50,26 @@ def engine(tmp_path, campaign_script):
 # -- stage order -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("left", ["tree.snapshot", "skills.ndjson", "verifications.ndjson"])
+def test_initialize_refuses_a_root_that_holds_a_snapshot_or_a_record(
+    tmp_path, campaign_script, left
+):
+    root = tmp_path / "library"
+    make_engine(root, campaign_script)
+    if left != "tree.snapshot":
+        (root / "tree.snapshot").unlink()
+        (root / left).write_text('{"id": "x"}\n', "utf-8")
+    before = digest_dir(root)
+    with pytest.raises(PipelineError, match="already holds a library"):
+        make_engine(root, campaign_script)
+    assert digest_dir(root) == before
+    # Empty logs, as a failed init used to leave them, hold no record.
+    (root / "tree.snapshot").unlink(missing_ok=True)
+    for name in ("skills.ndjson", "resources.ndjson", "verifications.ndjson"):
+        (root / name).write_bytes(b"")
+    make_engine(root, campaign_script)
+
+
 def test_stage_out_of_order_rejected(engine):
     with pytest.raises(OutOfOrderStageError) as excinfo:
         engine.run_stage("skill_build")
@@ -408,8 +428,8 @@ def test_a_provider_novelty_response_only_downgrades(
     assert (align.novelty_decision, align.status) == (decision, status)
     node = engine.tree.node(treemod.parse_path(ALIGN_LEAF))
     assert node.status == "review"
-    # Only a deprioritized skill is linked to its leaf; one sent to review is not.
-    assert (ALIGN_ID in node.linked_skills) == (decision == "deprioritize")
+    # A skill sent to review is linked to its leaf, as a deprioritized one is.
+    assert ALIGN_ID in node.linked_skills
     annotate = engine.registry.skill(ANNOTATE_ID)
     assert (annotate.novelty_decision, annotate.status) == ("novel", "verified")
     verified = [ALIGN_ID, ANNOTATE_ID] if status == "verified" else [ANNOTATE_ID]
@@ -931,7 +951,7 @@ def test_the_local_index_is_kept_unless_an_entry_goes_or_changes_task(engine):
         assert engine.adjudicate(skill_id) == fresh.adjudicate(skill_id)
 
 
-def test_only_a_stand_alone_first_review_scans_the_catalogs(
+def test_a_stand_alone_review_scans_and_a_commit_review_indexes(
     tmp_path, campaign_script, monkeypatch
 ):
     engine = make_engine(
@@ -940,10 +960,8 @@ def test_only_a_stand_alone_first_review_scans_the_catalogs(
     add_skill(engine, "library-plot", PLOT, ("draw the grid",))
     add_skill(engine, "period-copy", PERIODS, (PERIODS_SCOPE,))
     reviews = ("period-copy", "library-plot")
-    indexed = Pipeline(engine.config)
-    indexed.adjudicate("library-plot")  # from here on it searches its external index
-    expected = [indexed.adjudicate(skill_id) for skill_id in reviews]
-    assert indexed._external_index is not None
+    reference = Pipeline(engine.config)
+    expected = [reference.adjudicate(skill_id) for skill_id in reviews]
     assert [verdict.decision for verdict in expected] == ["redundant", "novel"]
 
     built = []
@@ -954,20 +972,21 @@ def test_only_a_stand_alone_first_review_scans_the_catalogs(
             super().__init__(entries)
 
     monkeypatch.setattr(noveltymod, "CatalogIndex", CountingIndex)
+    # Stand-alone reviews, as CLI ``novelty`` reads make them, build no index.
     fresh = Pipeline(engine.config)
-    hub = fresh.external_catalogs()["catalog_hub"]
-    first = fresh.adjudicate(reviews[0])
-    assert len(built) == 1 and built[0] is not hub  # the local index only
-    second = fresh.adjudicate(reviews[1])
-    assert len(built) == 2 and built[1] is hub  # the local index is kept
-    assert [first, second] == expected
+    assert [fresh.adjudicate(skill_id) for skill_id in reviews] == expected
+    assert built == [] and fresh._external_index is None and fresh._local is None
 
-    # A commit's review, given the commit's local index, indexes at once.
+    # A commit's reviews search the commit's local index and the external
+    # index, built at the first of them and then kept.
     committing = Pipeline(engine.config)
     local = committing._local_index()
     built.clear()
-    assert committing.adjudicate(reviews[0], local) == expected[0]
+    assert [committing.adjudicate(skill_id, local) for skill_id in reviews] == expected
     assert len(built) == 1 and built[0] is committing.external_catalogs()["catalog_hub"]
+    # A later stand-alone review still scans.
+    assert committing.adjudicate(reviews[0]) == expected[0]
+    assert len(built) == 1
 
 
 PLOT = "Plot cell clusters on a grid"
@@ -1024,7 +1043,7 @@ def test_one_snapshot_refresh_equals_a_fresh_read_per_review(
         patch.setattr(Pipeline, "adjudicate", reference_adjudicate)
         reference = refresh_mixed_candidates(tmp_path / "reference", campaign_script)
 
-    assert engine._last_verdicts == reference._last_verdicts == {
+    assert engine._scratch.verdicts == reference._scratch.verdicts == {
         "period-copy": "redundant",
         "plot-merge": "merge",
         "twin-a": "redundant",

@@ -395,6 +395,36 @@ def test_verified_to_untested_is_illegal(registry):
     assert excinfo.value.target == "untested"
 
 
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (lambda r: r.transition_skill("align-reads", "verified", cycle=3), None),
+        (lambda r: r.relocate_skill("align-reads", entry().leaf_path, cycle=3), None),
+        (lambda r: r.set_novelty_decision("align-reads", "novel", cycle=3), None),
+        (lambda r: r.transition_skill("align-reads", "untested", cycle=3), IllegalTransitionError),
+        (
+            lambda r: r.transition_skill("align-reads", "untested", cycle=3, merged_into="x"),
+            IllegalTransitionError,
+        ),
+    ],
+    ids=["transition", "relocate", "novelty", "illegal", "illegal-merge"],
+)
+def test_a_change_that_changes_nothing_or_is_illegal_appends_no_line(tmp_path, registry, change, error):
+    registry.upsert_skill(entry())
+    registry.transition_skill("align-reads", "verified", cycle=2)
+    registry.set_novelty_decision("align-reads", "novel", cycle=2)
+    log = tmp_path / "library" / "skills.ndjson"
+    before, current = log.read_bytes(), registry.skill("align-reads")
+    if error is None:
+        assert change(registry) is current
+    else:
+        with pytest.raises(error):
+            change(registry)
+    assert log.read_bytes() == before
+    assert registry.skill("align-reads") is current
+    assert open_registry(tmp_path / "library").skill("align-reads") == current
+
+
 def test_attempts_must_be_consecutive(registry):
     registry.upsert_skill(entry())
     with pytest.raises(RegistryError):
