@@ -95,4 +95,7 @@ def load_config(path: str | Path) -> EngineConfig:
     unknown = set(values) - known
     if unknown:
         raise SkillmineError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(config, **{k: _coerce(k, v) for k, v in values.items()})
+    config = replace(config, **{k: _coerce(k, v) for k, v in values.items()})
+    if config.registry_root is None:
+        raise SkillmineError(f"{path}: registry_root must name a directory")
+    return config

@@ -128,6 +128,8 @@ def parse_contract(document: dict) -> SkillContract:
         kind = raw.get("kind", "argument")
         if kind not in INPUT_KINDS:
             raise MalformedInvocationError(f"input {name}: unknown kind {kind!r}")
+        if kind == "file" and is_escaping_relpath(str(name)):
+            raise MalformedInvocationError(f"file input {name}: name escapes the inputs directory")
         inputs.append(
             ContractInput(
                 name=str(name),
@@ -293,14 +295,21 @@ def compile_package(
     name: str = "Skill",
 ) -> SkillPackage:
     """Lay the package out on disk; deterministic and idempotent. An
-    artifact that escapes ``dest_root`` or would replace one of the three
-    documents is refused before anything is written."""
+    artifact that escapes ``dest_root``, would replace one of the three
+    documents, or names a path that another one or the package needs as a
+    directory is refused before anything is written."""
     dest = Path(dest_root)
+    documents = (SPEC_DOCUMENT, METADATA_DOCUMENT, PROVENANCE_DOCUMENT)
     for rel in artifacts:
         if is_escaping_relpath(rel):
             raise PathEscapeError(rel)
-        if os.path.normpath(rel) in (SPEC_DOCUMENT, METADATA_DOCUMENT, PROVENANCE_DOCUMENT):
+        if os.path.normpath(rel) in documents:
             raise PackageError(f"artifact {rel} would replace the package's own document")
+    files = {os.path.normpath(rel) for rel in artifacts}.union(documents)
+    directories = set(PACKAGE_DIRS).union(*(map(str, Path(name).parents) for name in files))
+    clashes = sorted(files & directories)
+    if clashes:
+        raise PackageError(f"artifact paths make {clashes[0]} both a file and a directory")
     dest.mkdir(parents=True, exist_ok=True)
     for sub in PACKAGE_DIRS:
         (dest / sub).mkdir(exist_ok=True)

@@ -4,11 +4,13 @@ Every validation run is hermetic: commands execute in a private sandbox
 directory with a scrubbed environment and a wall-clock timeout, and nothing is
 written outside the sandbox, the append-only report tree and the package that a
 repair or an optimization edits. A run passes when its command exits 0 within
-the harness ``timeout``. Every sandbox, each run's and the repair work copy
-and optimize backups alike, comes from ``ValidationHarness._sandbox`` at
-``<base>/<skill-id>/<layer>/<name>/`` and is removed when its block ends, also
-by an exception, unless ``keep_sandboxes`` is set. Runs for different skills
-share no path, so they may run at once on a ``validation_pool``.
+the harness ``timeout``. Every sandbox is ``ValidationHarness._sandbox``'s
+fresh copy of the package at ``<base>/<skill-id>/<layer>/<name>/``, with the
+run's files written over it; it is removed when its block ends, also by an
+exception, unless ``keep_sandboxes`` is set. A package is never replaced: a
+repair or an optimization writes into it, file by file, only edits that passed.
+Runs for different skills share no path, so they may run at once on a
+``validation_pool``.
 
 No run writes the registry: the repair and optimize loops return what they
 decided, and the outcome's ``commit`` records it. A caller that aborts before
@@ -32,7 +34,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .contracts import (
     SkillPackage,
-    load_package,
     resolve_smoke_target,
     tokenize_command,
 )
@@ -283,21 +284,29 @@ class ValidationHarness:
 
     @contextmanager
     def _sandbox(
-        self, package: SkillPackage, skill_id: str, layer: str, name: int | str
+        self, package: SkillPackage, skill_id: str, layer: str, name: int | str,
+        files: Sequence[tuple[str, str]] = (),
     ) -> Iterator[Path]:
-        """A fresh copy of ``package`` at ``<skill>/<layer>/<name>/``. Leaving
-        the block, also by an exception, removes it and the layer and skill
-        directories it leaves empty, never the root, unless ``keep_sandboxes``."""
+        """A fresh copy of ``package`` at ``<skill>/<layer>/<name>/`` with
+        ``files``, (relative path, text) pairs, written over it in order; an
+        escaping path raises ``PathEscapeError`` before anything is copied.
+        Leaving the block, also by an exception, removes it and the layer and
+        skill directories it leaves empty, never the root, unless ``keep_sandboxes``."""
+        for rel, _text in files:
+            if is_escaping_relpath(rel):
+                raise PathEscapeError(rel)
         path = self.sandbox_root / skill_id / layer / str(name)
         if path.exists():
             shutil.rmtree(path)
         try:
             shutil.copytree(package.root_path, path)
+            for rel, text in files:
+                atomic_write_text(path / rel, text)
             yield path
         finally:
             if not self.keep_sandboxes:
                 shutil.rmtree(path, ignore_errors=True)
-                # Another run or a repair's work copy may still use a parent.
+                # Another run of the same skill may still use a parent.
                 for parent in (path.parent, path.parent.parent):
                     try:
                         parent.rmdir()
@@ -398,23 +407,33 @@ class ValidationHarness:
         package: SkillPackage,
         skill_id: str,
         attempt: int = 1,
+        files: Sequence[tuple[str, str]] = (),
     ) -> TestReport:
-        """Run the smoke target in its sandbox under ``self.timeout``; error
-        is reserved for harness faults."""
-        smoke = resolve_smoke_target(package)
-        if smoke is None:
-            return self._report_without_run(
-                skill_id, "execution", "", "[no smoke target]", "error", attempt
-            )
+        """Run the smoke target of ``package`` with ``files`` written over it in
+        its sandbox under ``self.timeout``; error is reserved for harness faults."""
+        return self._smoke_run(package, skill_id, "execution", attempt, files)
 
-        with self._sandbox(package, skill_id, "execution", attempt) as sandbox:
+    def _smoke_run(
+        self, package: SkillPackage, skill_id: str, layer: str, attempt: int,
+        files: Sequence[tuple[str, str]], env: Mapping[str, str] | None = None,
+        submission: str | None = None,
+    ) -> TestReport:
+        """The written report of the smoke target that the sandbox copy
+        declares, run there: so an edit to ``skill.json`` among ``files``
+        changes the command. No smoke target and a harness fault are errors."""
+        with self._sandbox(package, skill_id, layer, attempt, files) as sandbox:
+            smoke = resolve_smoke_target(SkillPackage(sandbox))
+            if smoke is None:
+                return self._report_without_run(
+                    skill_id, layer, "", "[no smoke target]", "error", attempt, submission
+                )
             try:
-                run = self._run(tokenize_command(smoke), sandbox)
+                run = self._run(tokenize_command(smoke), sandbox, env)
             except HarnessError as exc:
                 return self._report_without_run(
-                    skill_id, "execution", smoke, str(exc), "error", attempt
+                    skill_id, layer, smoke, str(exc), "error", attempt, submission
                 )
-            return self._report_of_run(skill_id, "execution", smoke, run, sandbox, attempt)
+            return self._report_of_run(skill_id, layer, smoke, run, sandbox, attempt, submission)
 
     def repair_loop(
         self,
@@ -430,9 +449,10 @@ class ValidationHarness:
 
         The budget counts execution attempts including the initial failure, so
         budget=3 allows at most two fix/retest rounds after the first fail.
-        Each retest is an ``execution_test`` of the repaired work copy, which a
-        pass copies into ``package``. With ``registry``, the outcome is
-        committed there and a pass verifies the skill.
+        Each retest is an ``execution_test`` of ``package`` with every edit
+        accepted so far, in order; only a pass writes them into ``package``.
+        With ``registry``, the outcome is committed there and a pass verifies
+        the skill.
         """
         if failing_report.verdict not in ("fail", "error"):
             raise HarnessError("repair_loop requires a failing or errored report")
@@ -443,46 +463,43 @@ class ValidationHarness:
             skill_id=skill_id, outcome="removed", attempts=1, reports=[failing_report]
         )
         last_log = f"verdict={failing_report.verdict} exit={failing_report.exit_status}"
-        with self._sandbox(package, skill_id, "repair", "work") as workdir:
-            work_package = load_package(workdir)
-            while outcome.attempts < budget:
-                response = gateway.call(
-                    "layer1_fix",
-                    {
-                        "target_skill": skill_id,
-                        "failure_log": last_log,
-                        "MODE": "cycle",
-                    },
-                    key=skill_id,
-                )
-                edits = response.fields["edits"]
-                outcome.attempts += 1
-                attempt = outcome.attempts
+        files: list[tuple[str, str]] = []
+        while outcome.attempts < budget:
+            response = gateway.call(
+                "layer1_fix",
+                {
+                    "target_skill": skill_id,
+                    "failure_log": last_log,
+                    "MODE": "cycle",
+                },
+                key=skill_id,
+            )
+            edits = response.fields["edits"]
+            outcome.attempts += 1
+            attempt = outcome.attempts
 
-                rejected = [e["path"] for e in edits if is_escaping_relpath(e["path"])]
-                if rejected:
-                    # A rejected edit consumes the attempt without a rerun.
-                    message = f"edit rejected (path escape): {', '.join(rejected)}"
-                    report = self._report_without_run(
-                        skill_id, "execution", failing_report.command, message, "error", attempt
-                    )
-                else:
-                    for edit in edits:
-                        atomic_write_text(workdir / edit["path"], edit["content"])
-                    outcome.edited = True
-                    report = self.execution_test(work_package, skill_id, attempt=attempt)
-                outcome.reports.append(report)
-                if report.verdict == "pass":
-                    # Persist the repaired surface back into the real package.
-                    shutil.rmtree(package.root_path)
-                    shutil.copytree(workdir, package.root_path)
-                    outcome.outcome = "repaired"
-                    break
-                last_log = (
-                    "previous edit rejected: path escaped the package root"
-                    if rejected
-                    else f"verdict={report.verdict} exit={report.exit_status}"
+            rejected = [e["path"] for e in edits if is_escaping_relpath(e["path"])]
+            if rejected:
+                # A rejected edit consumes the attempt without a rerun.
+                message = f"edit rejected (path escape): {', '.join(rejected)}"
+                report = self._report_without_run(
+                    skill_id, "execution", failing_report.command, message, "error", attempt
                 )
+            else:
+                files += [(edit["path"], edit["content"]) for edit in edits]
+                outcome.edited = True
+                report = self.execution_test(package, skill_id, attempt, files)
+            outcome.reports.append(report)
+            if report.verdict == "pass":
+                for rel, text in files:
+                    atomic_write_text(package.root_path / rel, text)
+                outcome.outcome = "repaired"
+                break
+            last_log = (
+                "previous edit rejected: path escaped the package root"
+                if rejected
+                else f"verdict={report.verdict} exit={report.exit_status}"
+            )
 
         if registry is not None:
             outcome.commit(registry, cycle)
@@ -578,21 +595,17 @@ class ValidationHarness:
         run_name: str,
     ) -> tuple[str, dict[str, bool]]:
         contract = package.contract()
-        with self._sandbox(package, skill_id, "synthetic", run_name) as sandbox:
-            substitutions: dict[str, str] = {}
-            for item in contract.inputs:
-                if item.kind == "file":
-                    rel = f"inputs/{item.name}"
-                    atomic_write_text(sandbox / rel, values[item.name])
-                    substitutions[item.name] = rel
-                else:
-                    substitutions[item.name] = values[item.name]
+        files = [(f"inputs/{i.name}", values[i.name]) for i in contract.inputs if i.kind == "file"]
+        substitutions = {
+            i.name: f"inputs/{i.name}" if i.kind == "file" else values[i.name]
+            for i in contract.inputs
+        }
+        rendered = command
+        for name, value in substitutions.items():
+            rendered = rendered.replace("{" + name + "}", value)
+        argv = tokenize_command(rendered)
 
-            rendered = command
-            for name, value in substitutions.items():
-                rendered = rendered.replace("{" + name + "}", value)
-            argv = tokenize_command(rendered)
-
+        with self._sandbox(package, skill_id, "synthetic", run_name, files) as sandbox:
             before = file_manifest(sandbox)
             exit_status, log, _duration = self._run(argv, sandbox)
             if exit_status is None:
@@ -649,17 +662,9 @@ class ValidationHarness:
                 skill_id, "system", smoke, message, "fail", 1, submission
             )
 
-        with self._sandbox(package, skill_id, "system", 1) as sandbox:
-            atomic_write_text(sandbox / "submission.txt", submission)
-            env = {
-                JOB_ID_VAR: job_id_for(job_name),
-                JOB_NAME_VAR: job_name,
-                NTASKS_VAR: str(ntasks),
-            }
-            run = self._run(tokenize_command(smoke), sandbox, env)
-            return self._report_of_run(
-                skill_id, "system", smoke, run, sandbox, 1, submission
-            )
+        env = {JOB_ID_VAR: job_id_for(job_name), JOB_NAME_VAR: job_name, NTASKS_VAR: str(ntasks)}
+        files = [("submission.txt", submission)]
+        return self._smoke_run(package, skill_id, "system", 1, files, env, submission)
 
     # -- layer 2: benchmark -------------------------------------------------------------
 
@@ -701,12 +706,8 @@ class ValidationHarness:
         arm: str,
         command: str,
     ) -> float:
-        with self._sandbox(package, skill_id, "benchmark", f"{case.case_id}-{arm}") as sandbox:
-            for rel, content in case.fixtures.items():
-                if is_escaping_relpath(rel):
-                    raise PathEscapeError(rel)
-                atomic_write_text(sandbox / rel, content)
-
+        name, fixtures = f"{case.case_id}-{arm}", list(case.fixtures.items())
+        with self._sandbox(package, skill_id, "benchmark", name, fixtures) as sandbox:
             exit_status, _log, _d = self._run(tokenize_command(command), sandbox)
             if exit_status != 0:
                 # A crashed arm scores zero for that arm; this is data, not an error.
@@ -760,22 +761,17 @@ class ValidationHarness:
                 },
                 key=skill_id,
             )
-            actions = response.fields["actions"]
-            bad_paths = [a["path"] for a in actions if is_escaping_relpath(a["path"])]
-            if bad_paths:
+            actions = [(a["path"], a["content"]) for a in response.fields["actions"]]
+            if any(is_escaping_relpath(rel) for rel, _text in actions):
                 outcome.margins.append(weak_report.margin)
                 continue
-
-            with self._sandbox(package, skill_id, "optimize", f"backup-{attempt}") as backup:
-                for action in actions:
-                    atomic_write_text(package.root_path / action["path"], action["content"])
-                guard = self.execution_test(package, skill_id, attempt=100 + attempt)
-                if guard.verdict != "pass":
-                    # The optimization broke the smoke surface; restore and move on.
-                    shutil.rmtree(package.root_path)
-                    shutil.copytree(backup, package.root_path)
-                    outcome.margins.append(weak_report.margin)
-                    continue
+            guard = self.execution_test(package, skill_id, 100 + attempt, actions)
+            if guard.verdict != "pass":
+                # The optimization broke the smoke surface; the package keeps none of it.
+                outcome.margins.append(weak_report.margin)
+                continue
+            for rel, text in actions:
+                atomic_write_text(package.root_path / rel, text)
 
             report = self.benchmark_compare(package, cases, skill_id, 100 + attempt, threshold)
             outcome.reports.append(report)

@@ -496,7 +496,6 @@ class Pipeline:
                 validation.repair = self.harness.repair_loop(
                     package, skill_id, validation.execution, budget, self.gateway
                 )
-                package = contractsmod.load_package(package.root_path)
             if layers and not validation.removed:
                 validation.synthetic = self.harness.synthetic_test(package, skill_id)
                 if validation.synthetic.clean and needs_scheduler(package):

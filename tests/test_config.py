@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from skillmine.cli import main
 from skillmine.config import EngineConfig, load_config
 from skillmine.errors import SkillmineError
 
@@ -85,3 +86,14 @@ def test_an_unknown_key_is_refused(tmp_path, text):
     path.write_text(text, "utf-8")
     with pytest.raises(SkillmineError, match="unknown config keys: focus_depth"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text", ["registry_root =\n", '{"registry_root": ""}', '{"registry_root": null}'])
+def test_an_empty_registry_root_is_refused_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "engine.conf"
+    path.write_text(text, "utf-8")
+    with pytest.raises(SkillmineError, match="registry_root must name a directory"):
+        load_config(path)
+    assert main(["--config", str(path), "status"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "registry_root must name a directory" in err

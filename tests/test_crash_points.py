@@ -11,6 +11,11 @@ report nothing, each log must be a prefix of the uninterrupted run's log,
 and the next append must start on a new line. One real ``SIGKILL`` of a
 child process that appends in a loop checks the same of a real kill.
 
+A passing repair's write-back into its package is cut the same way, at
+each file operation that creates or replaces something in the package:
+every file the package held must still be there, whole, with its old bytes
+or its edit's.
+
 A killed process keeps what it wrote to the page cache. Power loss, which
 can drop written but unflushed data or reorder it, is not modelled.
 """
@@ -26,6 +31,8 @@ from pathlib import Path
 import pytest
 
 from skillmine import tree as treemod
+from skillmine.gateway import Gateway, MockProvider
+from skillmine.harness import ValidationHarness
 from skillmine.registry import (
     RESOURCES_FILE,
     SKILLS_FILE,
@@ -35,7 +42,9 @@ from skillmine.registry import (
     VerificationRecord,
     open_registry,
 )
-from skillmine.util import canonical_json
+from skillmine.util import canonical_json, walk_files
+
+from conftest import PASSING_SMOKE, make_failing_package, write_mock
 
 LOGS = (SKILLS_FILE, VERIFICATIONS_FILE, RESOURCES_FILE)
 LEAF = "root/alpha/one"
@@ -189,3 +198,62 @@ def test_a_writer_killed_while_appending_leaves_a_library_another_writer_commits
         (canonical_json(skill("after-kill").to_record()) + "\n").encode("utf-8")
     )
     assert open_registry(root).integrity_check(tree) == []
+
+
+# A passing fix: one edit in place, one file in a directory the package lacks.
+EDITS = {"tests/smoke.py": PASSING_SMOKE, "examples/data/sample.txt": "sample\n"}
+
+
+def cut_package_ops(monkeypatch, package_root: Path, index: int | None) -> list[str]:
+    """Count each ``os.mkdir``, ``os.replace`` and creating ``os.open`` of a
+    path in ``package_root``, and raise ``Crash`` in place of the
+    ``index``-th; returns the names of the operations seen."""
+    top = os.fspath(package_root)
+    seen: list[str] = []
+
+    def wrap(name, real, creates=lambda *args: True):
+        def op(path, *args, **kwargs):
+            if os.fspath(path).startswith(top) and creates(*args):
+                seen.append(name)
+                if len(seen) - 1 == index:
+                    raise Crash
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, name, op)
+
+    wrap("mkdir", os.mkdir)
+    wrap("replace", os.replace)
+    wrap("open", os.open, lambda flags, *rest: bool(flags & os.O_CREAT))
+    return seen
+
+
+def repair_with_cut(root: Path, monkeypatch, index: int | None) -> tuple[dict, list[str]]:
+    """A failing package, and a repair whose one fix passes, with its
+    write-back cut at ``index``; returns the package's files before it."""
+    package = make_failing_package(root / "pkgs", name="fixme")
+    before = {rel: (package.root_path / rel).read_bytes() for rel in walk_files(package.root_path)}
+    edits = [{"path": path, "content": text} for path, text in EDITS.items()]
+    write_mock(root / "script", "layer1_fix", "fixme", 1,
+               {"diagnosis": "broken", "edits": edits, "retest": True})
+    harness = ValidationHarness(root / "sandbox", root / "reports")
+    failing = harness.execution_test(package, "fixme")
+    gateway = Gateway(MockProvider(root / "script"))
+    with monkeypatch.context() as patch:
+        seen = cut_package_ops(patch, package.root_path, index)
+        if index is None:
+            assert harness.repair_loop(package, "fixme", failing, 2, gateway).outcome == "repaired"
+        else:
+            with pytest.raises(Crash):
+                harness.repair_loop(package, "fixme", failing, 2, gateway)
+    return before, seen
+
+
+def test_a_repair_write_back_cut_at_any_point_leaves_every_package_file(tmp_path, monkeypatch):
+    ops = repair_with_cut(tmp_path / "whole", monkeypatch, None)[1]
+    assert ops.count("replace") == len(EDITS)
+    for index in range(len(ops)):
+        root = tmp_path / f"cut-{index}"
+        before, _seen = repair_with_cut(root, monkeypatch, index)
+        package = root / "pkgs" / "fixme"
+        for rel, data in before.items():
+            assert (package / rel).read_bytes() in (data, EDITS.get(rel, "").encode()), (index, rel)

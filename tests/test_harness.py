@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,26 @@ def register(registry, skill_id, package_path="skills/x"):
     )
 
 
+@contextmanager
+def held_in_place(package, rel):
+    """Hold open the package directory and its file ``rel``, which the block
+    must not edit; on leaving it, both must still be what is at their paths,
+    and the file's bytes unchanged. The open descriptors keep either inode
+    number from being reused by a replacement."""
+    paths = (package.root_path, package.root_path / rel)
+    before = paths[1].read_bytes()
+    fds = [os.open(path, os.O_RDONLY) for path in paths]
+    try:
+        yield
+        for fd, path in zip(fds, paths):
+            held, there = os.fstat(fd), os.stat(path)
+            assert (held.st_dev, held.st_ino) == (there.st_dev, there.st_ino), path
+        assert paths[1].read_bytes() == before
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
 # -- execution ----------------------------------------------------------------
 
 
@@ -122,12 +144,28 @@ def test_execution_without_smoke_target_is_error_verdict(tmp_path, harness):
     assert report.verdict == "error"
 
 
-def test_a_missing_command_is_an_error_that_leaves_no_sandbox(tmp_path, harness):
-    contract = passing_contract(test_commands=("no-such-command-on-path",))
+@pytest.mark.parametrize("layer", ["execution", "system"])
+def test_a_missing_command_is_an_error_that_leaves_no_sandbox(tmp_path, harness, layer):
+    contract = passing_contract(
+        test_commands=("no-such-command-on-path",),
+        environment_assumptions=("scheduler: slurm ntasks=1",),
+    )
     package = compile_package(contract, {}, tmp_path / "pkgs" / "missing", name="missing")
-    report = harness.execution_test(package, "missing")
-    assert report.verdict == "error"
+    run = harness.system_test if layer == "system" else harness.execution_test
+    report = run(package, "missing")
+    assert (report.layer, report.verdict) == (layer, "error")
     assert list(harness.sandbox_root.iterdir()) == []
+
+
+def test_the_sandbox_refuses_an_escaping_file_before_it_copies_anything(tmp_path, harness):
+    package = make_passing_package(tmp_path / "pkgs")
+    harness.sandbox_root.mkdir()
+    files = [("inputs/data", ""), ("inputs/../../../../../escaped", "")]
+    with pytest.raises(PathEscapeError):
+        with harness._sandbox(package, "fixture-pass", "synthetic", "run-1", files):
+            pass
+    assert list(harness.sandbox_root.iterdir()) == []
+    assert list(tmp_path.rglob("escaped")) == []
 
 
 def test_execution_reports_identical_up_to_duration(tmp_path, harness):
@@ -168,7 +206,10 @@ def test_repair_fail_fix_pass_ends_verified_with_attempt_two(
             skill_id="fixme", layer="execution", outcome="fail", attempt=1, cycle=1
         ),
     )
-    outcome = commit_loop(harness.repair_loop, package, "fixme", failing, budget=3, gateway=gateway, cycle=1)
+    with held_in_place(package, "SKILL.md"):
+        outcome = commit_loop(
+            harness.repair_loop, package, "fixme", failing, budget=3, gateway=gateway, cycle=1
+        )
 
     assert outcome.outcome == "repaired"
     assert outcome.attempts == 2
@@ -534,7 +575,7 @@ def test_optimize_exhaustion_marks_review(tmp_path, harness, registry, commit_lo
     assert [r.verdict for r in outcome.reports] == ["fail", "fail"]
 
 
-def test_optimize_restores_package_when_edit_breaks_smoke(
+def test_optimize_never_writes_the_package_when_an_edit_breaks_smoke(
     tmp_path, harness, registry, commit_loop
 ):
     package = bench_package(tmp_path / "pkgs", name="fragile")
@@ -552,9 +593,10 @@ def test_optimize_restores_package_when_edit_breaks_smoke(
         optimize_payload([{"path": "tests/smoke.py", "content": FAILING_SMOKE}]),
     )
     gateway = Gateway(MockProvider(script))
-    outcome = commit_loop(
-        harness.optimize_loop, package, "fragile", weak, budget=1, gateway=gateway, cases=[case]
-    )
+    with held_in_place(package, "SKILL.md"):
+        outcome = commit_loop(
+            harness.optimize_loop, package, "fragile", weak, budget=1, gateway=gateway, cases=[case]
+        )
     assert outcome.outcome == "review"
     assert (package.root_path / "tests" / "smoke.py").read_text() == before
 

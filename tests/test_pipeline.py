@@ -640,6 +640,10 @@ def test_history_lines_are_never_rewritten(tmp_path, campaign_script):
         ("bad-escape", {"artifacts": {"../escape.txt": "x"}}, "path escapes its root"),
         ("bad-clobber", {"artifacts": {"skill.json": "{}"}}, "would replace"),
         ("bad-quote", {"test_commands": ["python3 'tests/smoke.py"]}, "unparseable command"),
+        ("bad-input", {"inputs": [{"name": "../../../../../escaped", "kind": "file",
+                                   "required": False}]}, "name escapes the inputs directory"),
+        ("bad-dir", {"artifacts": {"scripts": "x"}}, "make scripts both a file and a directory"),
+        ("bad-nest", {"artifacts": {"scripts/x": "a", "scripts/x/y": "b"}}, "make scripts/x both"),
     ],
 )
 def test_a_malformed_candidate_costs_only_itself(
@@ -659,8 +663,10 @@ def test_a_malformed_candidate_costs_only_itself(
     [note] = [n for n in report.notes if n.startswith(f"contract-violations: {name}:")]
     assert error in note
     leaf_dir = (engine.root / engine.registry.skill(ALIGN_ID).package_path).parent
-    # No orphan package directory and no escaped file beside the good package.
+    # No orphan package directory and no escaped file beside the good package
+    # or anywhere else.
     assert sorted(p.name for p in leaf_dir.iterdir()) == [ALIGN_ID]
+    assert list(tmp_path.rglob("escape*")) == []
 
 
 @pytest.mark.parametrize("refusal", ["lint", "round-trip guard"])
